@@ -15,10 +15,11 @@ cache entry *is* the done-marker, so:
 
 Claim protocol (crash-safe by construction):
 
-1. **Claim** — a worker claims fingerprint ``fp`` by creating
-   ``<root>/claims/<fp>.lease`` with ``O_CREAT | O_EXCL`` (atomic on
-   POSIX and NFSv3+): exactly one concurrent claimant wins.  The lease
-   records owner id, host, pid, TTL, and a heartbeat timestamp.
+1. **Claim** — a worker claims fingerprint ``fp`` by hard-linking a
+   fully written temp file onto ``<root>/claims/<fp>.lease`` (atomic,
+   and failing when the name exists, on POSIX and NFS alike): exactly
+   one concurrent claimant wins.  The lease records owner id, host,
+   pid, TTL, and a heartbeat timestamp.
 2. **Heartbeat** — while computing, the owner refreshes the lease every
    ``ttl/4`` seconds (atomic rewrite).  A lease whose heartbeat is
    older than its TTL — or whose owning pid is dead, when observed from
@@ -43,13 +44,14 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import socket
 import sys
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
@@ -60,11 +62,13 @@ from repro.experiments.parallel import (
     ResultCache,
     Runner,
     _default_runner,
+    _terminate,
     config_fingerprint,
     config_from_dict,
     config_to_dict,
 )
 from repro.experiments.runner import (
+    ExperimentResult,
     run_experiment,
     run_multi_node_experiment,
 )
@@ -148,10 +152,15 @@ def _done_path(root: Path, fingerprint: str) -> Path:
     return root / fingerprint[:2] / f"{fingerprint}.json"
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _write_beside(path: Path, text: str) -> Path:
+    """Write ``text`` to a uniquely named ``*.tmp-*`` sibling of ``path``."""
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:6]}")
     tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    return tmp
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    os.replace(_write_beside(path, text), path)
 
 
 # ----------------------------------------------------------------------
@@ -173,18 +182,15 @@ class Lease:
     heartbeat_at: float
     ttl: float
 
+    @classmethod
+    def fresh(cls, fingerprint: str, owner: str, ttl: float) -> "Lease":
+        """A lease held by this process, acquired and heartbeating now (a
+        refreshed lease restarts its window too)."""
+        now = time.time()
+        return cls(fingerprint, owner, socket.gethostname(), os.getpid(), now, now, ttl)
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "fingerprint": self.fingerprint,
-                "owner": self.owner,
-                "host": self.host,
-                "pid": self.pid,
-                "acquired_at": self.acquired_at,
-                "heartbeat_at": self.heartbeat_at,
-                "ttl": self.ttl,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def read_lease(path: Union[str, Path]) -> Optional[Lease]:
@@ -239,20 +245,22 @@ def steal_lease(path: Path) -> bool:
 
 
 def _sweep_stale_tombstones(root: Path, ttl: float) -> int:
-    """Unlink steal tombstones leaked by crashed stealers.
+    """Unlink steal tombstones (``*.lease.stale-*``) and lease temp files
+    (``*.lease.tmp-*``) leaked by workers that crashed mid-steal or
+    mid-write.
 
-    Nothing else ever visits ``*.stale-*`` files in the claims sidecar,
-    so without this sweep they accumulate forever on long-lived shared
-    roots.  Only tombstones older than the lease TTL go — a live steal
-    completes its rename-then-unlink in microseconds, so anything that
-    old is certainly abandoned.  Returns the number removed.
+    Nothing else ever visits them in the claims sidecar, so without
+    this sweep they accumulate forever on long-lived shared roots.  Only
+    files older than the lease TTL go — a live steal or lease write is
+    done with its file in microseconds, so anything that old is
+    certainly abandoned.  Returns the number removed.
     """
     claims = root / CLAIMS_DIR
     if not claims.is_dir():
         return 0
     cutoff = time.time() - ttl
     removed = 0
-    for path in claims.glob("*.stale-*"):
+    for path in claims.glob("*.lease.*"):
         try:
             if path.stat().st_mtime <= cutoff:
                 os.unlink(path)
@@ -278,30 +286,23 @@ def try_claim(
     path = _lease_path(root, fingerprint)
     path.parent.mkdir(parents=True, exist_ok=True)
     for _ in range(2):  # second round after a successful steal
+        # Publish the lease whole: a racer reading it half-written would
+        # judge it stale and steal it from its winner.
+        tmp = _write_beside(path, Lease.fresh(fingerprint, owner, ttl).to_json())
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.link(tmp, path)
+            return True
         except FileExistsError:
-            lease = read_lease(path)
-            if lease is not None and not lease_is_stale(lease):
-                return False
-            if not path.exists():
-                continue  # released between the open and the read; retry
-            if not steal_lease(path):
-                return False  # another worker stole (and will re-claim) it
-            continue
-        now = time.time()
-        lease = Lease(
-            fingerprint=fingerprint,
-            owner=owner,
-            host=socket.gethostname(),
-            pid=os.getpid(),
-            acquired_at=now,
-            heartbeat_at=now,
-            ttl=ttl,
-        )
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(lease.to_json())
-        return True
+            pass
+        finally:
+            os.unlink(tmp)
+        current = read_lease(path)
+        if current is not None and not lease_is_stale(current):
+            return False
+        if not path.exists():
+            continue  # released between the link and the read; retry
+        if not steal_lease(path):
+            return False  # another worker stole (and will re-claim) it
     return False
 
 
@@ -324,17 +325,7 @@ def refresh_lease(
     current = read_lease(path)
     if current is None or current.owner != owner:
         return False
-    now = time.time()
-    lease = Lease(
-        fingerprint=fingerprint,
-        owner=owner,
-        host=socket.gethostname(),
-        pid=os.getpid(),
-        acquired_at=now,  # refreshed leases restart their window
-        heartbeat_at=now,
-        ttl=ttl,
-    )
-    _atomic_write(path, lease.to_json())
+    _atomic_write(path, Lease.fresh(fingerprint, owner, ttl).to_json())
     return True
 
 
@@ -527,8 +518,9 @@ def run_worker(
     time (lease + heartbeat), computes each with the default runner for
     its config type, stores the result, and removes the queue entry.
     Exits when no claimable work has been visible for ``idle_timeout``
-    seconds (``None``/``0``: drain once and exit as soon as the queue
-    looks empty), or after ``max_cells`` computations.
+    seconds (``None``/``0``: as soon as one pass over the queue finds
+    nothing to claim — every remaining cell done or leased by a live
+    worker), or after ``max_cells`` computations.
 
     ``only`` restricts the worker to a fingerprint subset (the queue
     executor's local helpers use this to drain exactly their own sweep).
@@ -597,48 +589,70 @@ def _scan_once(
                 progressed = True
             continue
         config, namespace = entry
-        if not try_claim(root, fingerprint, owner=owner, ttl=ttl):
+        cache = ResultCache(root, namespace=namespace)
+        if _claim_and_compute(root, fingerprint, config, cache, owner, ttl, progress) is None:
             continue
-        # Claimed after the done-check raced a finishing worker?  The
-        # store is idempotent, so recomputing is merely wasteful — but
-        # one cheap re-check avoids it in the common case.
-        if _done_path(root, fingerprint).exists():
-            release_lease(root, fingerprint, owner=owner)
-            _reap(root, fingerprint)
-            summary.reaped += 1
-            progressed = True
-            continue
-        if progress is not None:
-            progress(fingerprint, config.label())
-        heartbeat = _LeaseHeartbeat(root, fingerprint, owner, ttl)
-        heartbeat.start()
-        try:
-            result = _default_runner(config)(config)
-            ResultCache(root, namespace=namespace).store(config, result)
-        finally:
-            heartbeat.stop()
-            release_lease(root, fingerprint, owner=owner)
-        _remove_queue_entry(root, fingerprint)
         summary.computed += 1
         summary.labels.append(config.label())
         progressed = True
     return progressed
 
 
+def _claim_and_compute(
+    root: Path,
+    fingerprint: str,
+    config: AnyConfig,
+    cache: ResultCache,
+    owner: str,
+    ttl: float,
+    progress: Optional[WorkerProgress] = None,
+) -> Optional[ExperimentResult]:
+    """Claim one cell, then compute, store and dequeue it under a
+    heartbeated lease (the claim path of workers and the queue executor
+    alike).  Returns the result, or ``None`` when another worker holds
+    the claim or the cell is already done.  A raising cell releases its
+    lease and keeps its queue entry, so it stays computable."""
+    if not try_claim(root, fingerprint, owner=owner, ttl=ttl):
+        return None
+    # Claimed after the caller's done-check raced a finishing worker?  The
+    # store is idempotent, so recomputing is merely wasteful — but one
+    # cheap re-check avoids it in the common case.
+    if _done_path(root, fingerprint).exists():
+        release_lease(root, fingerprint, owner=owner)
+        return None
+    if progress is not None:
+        progress(fingerprint, config.label())
+    heartbeat = _LeaseHeartbeat(root, fingerprint, owner, ttl)
+    heartbeat.start()
+    try:
+        result = _default_runner(config)(config)
+        cache.store(config, result)
+        _remove_queue_entry(root, fingerprint)
+    finally:
+        heartbeat.stop()
+        release_lease(root, fingerprint, owner=owner)
+    return result
+
+
 # ----------------------------------------------------------------------
 # The queue executor
 # ----------------------------------------------------------------------
-def _helper_main(
-    root: str, only: List[str], ttl: float, poll: float, idle_timeout: float
-) -> None:
-    """Entry point of a local helper worker (one subprocess per job)."""
-    run_worker(
-        root,
-        only=set(only),
-        lease_ttl=ttl,
-        poll=poll,
-        idle_timeout=idle_timeout,
-    )
+def _helper_main(root: str, only: List[str], ttl: float) -> None:
+    """Entry point of a local helper worker (one subprocess per job): it
+    exits as soon as no cell of its sweep is left for it to claim."""
+    run_worker(root, only=set(only), lease_ttl=ttl, idle_timeout=0)
+
+
+def _wait_for_helpers(helpers: List[Any], timeout: float) -> None:
+    """Sleep up to ``timeout``, waking as soon as a live helper exits —
+    after its last store, or killed with a lease left to steal.
+    ``is_alive`` also reaps exited helpers, so a killed helper's pid is
+    gone and its lease reads as stale."""
+    live = [helper.sentinel for helper in helpers if helper.is_alive()]
+    if live:
+        multiprocessing.connection.wait(live, timeout=timeout)
+    else:
+        time.sleep(timeout)
 
 
 class QueueExecutor(Executor):
@@ -650,7 +664,8 @@ class QueueExecutor(Executor):
     additionally spawns ``jobs - 1`` local helper workers restricted to
     this sweep's fingerprints, giving the queue executor the same
     single-host parallelism as the local engine while staying open to
-    any number of external ``faas-sched worker`` processes.
+    any number of external ``faas-sched worker`` processes.  A helper
+    exits as soon as nothing in the sweep is left for it to claim.
 
     Requires a cache directory (the cache root *is* the coordination
     medium) and the default runners (a custom runner callable cannot be
@@ -661,10 +676,6 @@ class QueueExecutor(Executor):
     """
 
     name = "queue"
-
-    #: Local helpers idle-exit this long after the sweep stops offering
-    #: them claimable work; the submitting process finishes the rest.
-    HELPER_IDLE_TIMEOUT = 2.0
 
     def __init__(
         self, poll: float = DEFAULT_POLL_S, lease_ttl: Optional[float] = None
@@ -711,7 +722,6 @@ class QueueExecutor(Executor):
             fingerprint = enqueue_config(root, config, namespace=namespace)
             remaining[fingerprint] = (index, config)
         helpers = self._spawn_helpers(context.jobs, root, list(remaining), ttl)
-        computed_here: Set[str] = set()
         try:
             while remaining:
                 progressed = False
@@ -730,38 +740,21 @@ class QueueExecutor(Executor):
                             progressed = True
                             continue
                         _reap(root, fingerprint)
-                        finished(
-                            index,
-                            config,
-                            result,
-                            fingerprint not in computed_here,
-                        )
-                        del remaining[fingerprint]
-                        progressed = True
-                        continue
-                    if not try_claim(root, fingerprint, owner=owner, ttl=ttl):
-                        continue
-                    heartbeat = _LeaseHeartbeat(root, fingerprint, owner, ttl)
-                    heartbeat.start()
-                    try:
-                        result = _default_runner(config)(config)
-                        cache.store(config, result)
-                    finally:
-                        heartbeat.stop()
-                        release_lease(root, fingerprint, owner=owner)
-                    _remove_queue_entry(root, fingerprint)
-                    computed_here.add(fingerprint)
+                    else:
+                        result = _claim_and_compute(root, fingerprint, config, cache, owner, ttl)
+                        if result is None:
+                            continue
+                    # run_configs served every cache hit before calling
+                    # us, so the cell counts as computed, whoever did it.
                     finished(index, config, result, False)
                     del remaining[fingerprint]
                     progressed = True
                 if remaining and not progressed:
-                    time.sleep(self.poll)
+                    _wait_for_helpers(helpers, self.poll)
         finally:
             for helper in helpers:
-                helper.join(timeout=self.HELPER_IDLE_TIMEOUT + 5.0)
-                if helper.is_alive():  # pragma: no cover - wedged helper
-                    helper.terminate()
-                    helper.join(timeout=5.0)
+                helper.join(timeout=5.0)
+                _terminate(helper)  # a wedged helper
 
     def _spawn_helpers(
         self, jobs: int, root: Path, fingerprints: List[str], ttl: float
@@ -774,10 +767,7 @@ class QueueExecutor(Executor):
         )
         helpers = []
         for _ in range(count):
-            process = context.Process(
-                target=_helper_main,
-                args=(str(root), fingerprints, ttl, self.poll, self.HELPER_IDLE_TIMEOUT),
-            )
+            process = context.Process(target=_helper_main, args=(str(root), fingerprints, ttl))
             process.daemon = True
             process.start()
             helpers.append(process)

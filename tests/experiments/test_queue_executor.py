@@ -8,6 +8,7 @@ and assert the exactly-once guarantees the design rests on.
 import json
 import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -25,6 +26,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.queue import (
     CLAIMS_DIR,
+    LEASE_TTL_ENV,
     QUEUE_DIR,
     Lease,
     QueueExecutor,
@@ -145,7 +147,9 @@ class TestQueueExecutor:
             configs, cache_dir=tmp_path, executor="queue", jobs=3, stats=stats
         )
         assert len(results) == 4
-        assert stats.cached + stats.computed == 4
+        # Cells the helpers computed count as computed, not as cache hits.
+        assert stats.computed == 4
+        assert stats.cached == 0
         report = verify_cache(tmp_path)
         assert report.scanned == 4
         assert report.bad == 0
@@ -154,6 +158,94 @@ class TestQueueExecutor:
         executor = QueueExecutor()
         helpers = executor._spawn_helpers(jobs=8, root=tmp_path, fingerprints=[], ttl=60)
         assert helpers == []
+
+
+# ----------------------------------------------------------------------
+# Local helper lifecycle, with real processes
+# ----------------------------------------------------------------------
+def _serial_entries(root, configs):
+    """Entry bytes of ``configs`` computed inline and stored the serial way."""
+    cache = ResultCache(root)
+    for config, result in zip(configs, run_configs(list(configs))):
+        cache.store(config, result)
+    return [(config, cache.path_for(config).read_bytes()) for config in configs]
+
+
+class TestHelperLifecycle:
+    def test_worker_exits_at_once_when_its_cell_is_leased(self, tmp_path):
+        fingerprint = enqueue_config(tmp_path, _config())
+        claimed, release = _MP.Event(), _MP.Event()
+
+        def live_owner():
+            try_claim(tmp_path, fingerprint, owner="live-owner")
+            claimed.set()
+            release.wait(30)
+
+        owner = _MP.Process(target=live_owner)
+        owner.start()
+        try:
+            assert claimed.wait(30)
+            started = time.monotonic()
+            summary = run_worker(tmp_path, only={fingerprint}, idle_timeout=0)
+            assert time.monotonic() - started < 1.0
+        finally:
+            release.set()
+            owner.join(timeout=30)
+        assert not owner.is_alive()
+        assert summary.computed == 0
+        assert pending_fingerprints(tmp_path) == [fingerprint]
+        assert read_lease(_lease_path(tmp_path, fingerprint)).owner == "live-owner"
+
+    def test_no_helper_outlives_its_sweep(self, tmp_path):
+        configs = [_config(seed=s) for s in (1, 2, 3, 4, 5, 6)]
+        before = set(multiprocessing.active_children())
+        run_configs(configs, cache_dir=tmp_path, executor="queue", jobs=3)
+        returned = time.time()
+        assert set(multiprocessing.active_children()) - before == set()
+        # Helpers exit once nothing is left to claim, so the sweep returns
+        # promptly after its last store.
+        cache = ResultCache(tmp_path)
+        last_store = max(cache.path_for(c).stat().st_mtime for c in configs)
+        assert returned - last_store < 1.0
+
+    def test_sigkilled_helper_mid_sweep_is_recomputed(self, tmp_path, monkeypatch):
+        # A killed helper's lease is stale by its dead pid at once; the
+        # sweep must not wait for the TTL to run out.
+        monkeypatch.setenv(LEASE_TTL_ENV, "30")
+        configs = [_config(seed=s, intensity=60) for s in (1, 2, 3, 4, 5, 6)]
+        root = tmp_path / "queue-root"
+        sweeper = os.getpid()
+        killed, stop = _MP.Value("i", 0), _MP.Event()
+
+        def kill_first_helper_lease():
+            # Any lease not held by the sweeping process is a helper's.
+            while not stop.is_set():
+                for path in (root / CLAIMS_DIR).glob("*.lease"):
+                    lease = read_lease(path)
+                    if lease is not None and lease.pid != sweeper:
+                        os.kill(lease.pid, signal.SIGKILL)
+                        killed.value = lease.pid
+                        return
+                time.sleep(0.001)
+
+        killer = _MP.Process(target=kill_first_helper_lease)
+        killer.start()
+        stats = EngineStats()
+        try:
+            run_configs(configs, cache_dir=root, executor="queue", jobs=2, stats=stats)
+        finally:
+            stop.set()
+            killer.join(timeout=30)
+        assert not killer.is_alive()
+        assert killed.value != 0
+        assert stats.elapsed < 10.0
+        assert stats.computed == len(configs)
+        assert stats.cached == 0
+        assert pending_fingerprints(root) == []
+        assert list((root / CLAIMS_DIR).glob("*.lease")) == []
+        cache = ResultCache(root)
+        for config, data in _serial_entries(tmp_path / "serial", configs):
+            assert cache.path_for(config).read_bytes() == data
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +308,9 @@ def _race_claims(root, fingerprint, racers, out):
     def attempt(slot):
         barrier.wait()
         out[slot] = try_claim(root, fingerprint, owner=f"racer-{slot}")
+        # Stay alive until every racer has tried: a lease whose owner has
+        # exited is rightly stale, and stealing it is not a second win.
+        barrier.wait(timeout=30)
 
     processes = [
         _MP.Process(target=attempt, args=(slot,)) for slot in range(racers)
@@ -335,15 +430,9 @@ class TestClaimProtocol:
         assert sum(out.values()) == len(configs)
         # ... and whatever worker computed each cell, the stored entry is
         # byte-identical to what a serial run would have written.
-        serial_root = tmp_path / "serial-reference"
-        serial_cache = ResultCache(serial_root)
-        for config, result in zip(configs, run_configs(list(configs))):
-            serial_cache.store(config, result)
         worker_cache = ResultCache(tmp_path)
-        for config in configs:
-            assert worker_cache.path_for(config).read_bytes() == (
-                serial_cache.path_for(config).read_bytes()
-            )
+        for config, data in _serial_entries(tmp_path / "serial-reference", configs):
+            assert worker_cache.path_for(config).read_bytes() == data
         assert verify_cache(tmp_path).bad == 0
 
     def test_refresh_refuses_missing_or_foreign_lease(self, tmp_path):
@@ -440,7 +529,9 @@ class TestClaimProtocol:
 
 class TestTombstoneSweep:
     """A stealer that crashes between its rename and unlink leaks a
-    ``*.stale-*`` tombstone; worker/sweep startup reclaims old ones."""
+    ``*.stale-*`` tombstone, and a claimant or heartbeat that crashes
+    before publishing its lease leaks a ``*.tmp-*`` file; worker/sweep
+    startup reclaims old ones."""
 
     def _tombstone(self, tmp_path, name, age):
         claims = tmp_path / CLAIMS_DIR
@@ -459,12 +550,23 @@ class TestTombstoneSweep:
         fresh = self._tombstone(
             tmp_path, "cd" + "0" * 62 + ".lease.stale-cafe0123", age=0.0
         )
+        old_tmp = self._tombstone(
+            tmp_path, "ab" + "0" * 62 + ".lease.tmp-4242-abcdef", age=120.0
+        )
+        # A young temp file may belong to a claim still being published.
+        fresh_tmp = self._tombstone(
+            tmp_path, "cd" + "0" * 62 + ".lease.tmp-4242-fedcba", age=0.0
+        )
         # Live leases are never touched, whatever their age.
+        live = _lease_path(tmp_path, "ef" + "0" * 62)
         assert try_claim(tmp_path, "ef" + "0" * 62, owner="live")
-        assert _sweep_stale_tombstones(tmp_path, ttl=60.0) == 1
+        os.utime(live, (time.time() - 120.0,) * 2)
+        assert _sweep_stale_tombstones(tmp_path, ttl=60.0) == 2
         assert not old.exists()
+        assert not old_tmp.exists()
         assert fresh.exists()
-        assert read_lease(_lease_path(tmp_path, "ef" + "0" * 62)) is not None
+        assert fresh_tmp.exists()
+        assert read_lease(live) is not None
 
     def test_run_worker_sweeps_on_startup(self, tmp_path):
         old = self._tombstone(
