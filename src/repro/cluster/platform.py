@@ -9,12 +9,16 @@ and produces client-side :class:`~repro.metrics.records.CallRecord`\\ s.
 Two workload shapes are supported:
 
 * a materialised :class:`~repro.workload.generator.BurstScenario` — every
-  client process is spawned up front (the exact historical code path the
-  golden fingerprints pin);
+  client is started up front (the code path the golden fingerprints pin);
 * a lazy :class:`~repro.workload.generator.RequestStream` — a single
-  injector process walks the arrival stream and spawns each client at its
+  injector process walks the arrival stream and starts each client at its
   release time, so peak memory tracks the *concurrency* of the workload,
   not its length (the million-invocation streaming path).
+
+A failure-free client is a chain of calendar callbacks — release time,
+request leg, the invoker's ``done`` event, response leg, then
+:meth:`FaaSPlatform._finish` — with no process of its own.  Under failure
+injection each client is a generator process (timeout races, backoff).
 
 Record retention is orthogonal: ``retain_records=False`` skips the
 O(invocations) record list, and a ``collector``
@@ -29,7 +33,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 from repro.cluster.controller import LoadBalancer, LeastLoadedBalancer
 from repro.cluster.network import NetworkModel
 from repro.metrics.records import CallRecord
-from repro.sim.events import AnyOf, Event
+from repro.sim.events import AnyOf, Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.failures.rng import FailureRng
@@ -74,11 +78,6 @@ class FaaSPlatform:
             raise ValueError("failure injection requires a FailureRng")
         self.failures = None if failures is not None and failures.is_none else failures
         self._failure_rng = failure_rng
-        #: The client coroutine: the exact historical generator on the
-        #: failure-free path, the retrying client under injection.
-        self._client = (
-            self._client_call if self.failures is None else self._client_call_failures
-        )
         self.records: List[CallRecord] = []
         #: Client-visible calls completed so far (exact, even when records
         #: are not retained).
@@ -100,10 +99,9 @@ class FaaSPlatform:
         """Drive *scenario* to completion.
 
         A sized workload (:class:`BurstScenario`) takes the eager path:
-        every client process is spawned up front, exactly as the platform
-        always has.  A workload without ``__len__``
+        every client is started up front.  A workload without ``__len__``
         (:class:`RequestStream`) takes the lazy path: one injector process
-        spawns each client at its release time.
+        starts each client at its release time.
 
         ``collector.add(record)`` is invoked for every completed call the
         moment its response reaches the client (completion order);
@@ -120,7 +118,7 @@ class FaaSPlatform:
             self._injecting = False
             self._all_done = Event(self.env)
             for request in scenario:
-                self.env.process(self._client(request))
+                self._start_client(request)
         else:
             self._pending = 0
             self._injecting = True
@@ -138,7 +136,7 @@ class FaaSPlatform:
     # ------------------------------------------------------------------
     def _inject(self, scenario: "RequestStream"):
         """Lazy injection: walk the arrival stream on simulation time,
-        spawning one client process per request at its release moment.
+        starting one client per request at its release moment.
         Peak memory is the in-flight call count, never the stream length."""
         env = self.env
         last_release = float("-inf")
@@ -156,27 +154,47 @@ class FaaSPlatform:
             if release > env.now:
                 yield env.timeout(release - env.now)
             self._pending += 1
-            env.process(self._client(request))
+            self._start_client(request)
         self._injecting = False
         if self._pending == 0 and self._all_done is not None:
             self._all_done.succeed()
 
     # ------------------------------------------------------------------
-    def _client_call(self, request: "Request"):
+    def _start_client(self, request: "Request") -> None:
+        if self.failures is not None:
+            self.env.process(self._client_call_failures(request))
+            return
         env = self.env
         if request.release_time > env.now:
-            yield env.timeout(request.release_time - env.now)
+            release = Timeout(env, request.release_time - env.now, request)
+            release.callbacks.append(self._on_release)
+        else:
+            self._send(request)
+
+    # -- the failure-free client: one callback per calendar event --------
+    def _on_release(self, release: Timeout) -> None:
+        self._send(release.value)
+
+    def _send(self, request: "Request") -> None:
         # Request leg: client -> controller/Kafka -> invoker.
-        yield env.timeout(self.network.request_delay())
+        leg = Timeout(self.env, self.network.request_delay(), request)
+        leg.callbacks.append(self._on_received)
+
+    def _on_received(self, leg: Timeout) -> None:
+        request = leg.value
         index = self.balancer.pick(request)
         stats = getattr(self.balancer, "stats", None)
         if stats is not None:  # duck-typed custom balancers may omit it
             stats.picks += 1
-        info = yield self.invokers[index].submit(request)
+        self.invokers[index].submit(request).callbacks.append(self._on_done)
+
+    def _on_done(self, done: Event) -> None:
         # Response leg: invoker -> client.
-        yield env.timeout(self.network.response_delay())
-        record = CallRecord.from_node_info(info, env.now)
-        self._finish(record)
+        leg = Timeout(self.env, self.network.response_delay(), done.value)
+        leg.callbacks.append(self._on_response)
+
+    def _on_response(self, leg: Timeout) -> None:
+        self._finish(CallRecord.from_node_info(leg.value, self.env.now))
 
     def _finish(self, record: CallRecord) -> None:
         if self._collector is not None:

@@ -53,12 +53,12 @@ class NodeConfig:
     remove_op_s:
         Serialized ``docker rm`` time (evictions, background).
     pause_op_s:
-        Serialized ``docker pause`` time (baseline background pauses).
+        Serialized ``docker pause`` time (background pauses, both invokers).
     unpause_latency_s:
         Parallel (non-serialized) latency of reviving a paused container
         on the baseline's warm path.
     pause_grace_s:
-        Idle time after which the baseline pauses a hot container
+        Idle time after which a hot container is paused, by either invoker
         (OpenWhisk default ≈50 ms); hot reuse within the grace is free.
     cold_init_latency_s / cold_init_cpu_s:
         In-container initialisation after ``docker run``: pure latency

@@ -2,21 +2,15 @@
 
 The pool makes synchronous placement decisions (which container serves a
 call; which idle containers to evict to free memory) and owns the
-baseline's hot→paused lifecycle timers.  Docker operations for placement
-(create, our invoker's dispatch cycle) are executed by the caller via the
+hot→paused lifecycle timers.  Docker operations for placement (create,
+our invoker's dispatch cycle) are executed by the caller via the
 :class:`~repro.node.docker.DockerDaemon`; the pool itself fires the
 background pause and remove operations.
 
-Two reuse disciplines exist (see NodeConfig's rationale):
-
-* ``manage_pause=True`` (baseline): a container stays *hot* for a short
-  grace after a call and can be reused for free; it is then paused in the
-  background and must be unpaused (cheap, parallel) on reuse.
-* ``manage_pause=False`` (our invoker): the invoker enforces its CPU
-  guarantee with a serialized per-dispatch docker cycle, so hot reuse
-  does not exist — every released container immediately counts as paused
-  (without a daemon pause op: the dispatch cycle itself leaves the
-  container quiesced).
+Both invokers share one reuse discipline: a released container stays
+*hot* for ``pause_grace_s`` and can be reused for free; it is then paused
+by a background daemon ``pause`` and must be revived on reuse (the
+baseline's cheap unpause, or our invoker's serialized dispatch cycle).
 """
 
 from __future__ import annotations
@@ -25,6 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Literal, Optional
 
 from repro.node.container import Container, ContainerState
+from repro.sim.events import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -36,6 +31,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["AcquirePlan", "ContainerPool"]
 
 AcquireKind = Literal["hot", "warm", "prewarm", "cold"]
+
+_HOT = ContainerState.HOT
+_PAUSING = ContainerState.PAUSING
+_PAUSED = ContainerState.PAUSED
 
 
 @dataclass
@@ -64,13 +63,11 @@ class ContainerPool:
         config: "NodeConfig",
         daemon: "DockerDaemon",
         memory: "MemoryPool",
-        manage_pause: bool = True,
     ) -> None:
         self.env = env
         self.config = config
         self.daemon = daemon
         self.memory = memory
-        self.manage_pause = manage_pause
         #: All live containers (busy or warm), insertion order.
         self.containers: List[Container] = []
         #: Live containers grouped by function name, each group in the
@@ -142,16 +139,19 @@ class ContainerPool:
         # 1) warm container for this function: prefer HOT (free reuse),
         #    then the most-recently-used paused one.  The per-function
         #    index preserves insertion order, so ties on last_used resolve
-        #    exactly as the historical whole-node scan did.
+        #    exactly as the historical whole-node scan did.  The scan
+        #    spells out ``Container.is_warm`` (idle and HOT, PAUSING or
+        #    PAUSED): it runs on every placement.
         best_hot: Optional[Container] = None
         best_paused: Optional[Container] = None
         for c in self._by_function.get(spec.name, ()):
-            if not c.is_warm:
+            if c.busy:
                 continue
-            if c.state is ContainerState.HOT:
+            state = c.state
+            if state is _HOT:
                 if best_hot is None or c.last_used > best_hot.last_used:
                     best_hot = c
-            else:
+            elif state is _PAUSED or state is _PAUSING:
                 if best_paused is None or c.last_used > best_paused.last_used:
                     best_paused = c
         if best_hot is not None:
@@ -195,21 +195,15 @@ class ContainerPool:
         return None
 
     def release(self, container: Container) -> None:
-        """Return a container after a call.
-
-        Baseline (``manage_pause``): the container stays HOT for the pause
-        grace, then a background daemon ``pause`` moves it to PAUSED.
-        Our invoker: the container counts as paused immediately.
-        """
+        """Return a container after a call: it stays HOT for the pause
+        grace, then a background daemon ``pause`` moves it to PAUSED."""
         container.busy = False
         container.last_used = self.env.now
         container.calls_served += 1
         container.pause_version += 1
-        if self.manage_pause:
-            container.state = ContainerState.HOT
-            self.env.process(self._pause_after_grace(container, container.pause_version))
-        else:
-            container.state = ContainerState.PAUSED
+        container.state = _HOT
+        grace = Timeout(self.env, self.config.pause_grace_s, (container, container.pause_version))
+        grace.callbacks.append(self._grace_expired)
 
     # ------------------------------------------------------------------
     # Eviction
@@ -251,13 +245,17 @@ class ContainerPool:
         container.last_used = self.env.now
         container.pause_version += 1  # invalidate pending pause timers
 
-    def _pause_after_grace(self, container: Container, version: int):
-        yield self.env.timeout(self.config.pause_grace_s)
+    def _grace_expired(self, grace: Timeout) -> None:
+        container, version = grace.value
         if container.pause_version != version or container.busy:
             return  # reused (or evicted) in the meantime
-        if container.state is not ContainerState.HOT:
+        if container.state is not _HOT:
             return
-        container.state = ContainerState.PAUSING
+        container.state = _PAUSING
+        # Only a pause that must run costs a process.
+        self.env.process(self._pause(container, version))
+
+    def _pause(self, container: Container, version: int):
         yield from self.daemon.op("pause")
         if container.pause_version == version and not container.busy:
             if container.state is ContainerState.PAUSING:

@@ -290,11 +290,17 @@ class ReusableTimer:
     def arm(self, delay: float, priority: int = NORMAL) -> None:
         """(Re)schedule the callback ``delay`` seconds from now, cancelling
         any previously armed firing."""
+        env = self.env
         entry = self._entry
         if entry is not None and entry[3] is not None:
-            self.env.cancel_scheduled(entry)
+            env.cancel_scheduled(entry)
         self.callbacks = self._cblist
-        self._entry = self.env.schedule(self, delay, priority)
+        if delay < 0:
+            raise SimulationError(f"cannot schedule event in the past (delay={delay!r})")
+        # Inlined ``env.schedule``: the CPU bank re-arms on every change.
+        entry = self._entry = [env._now + delay, priority, env._next_eid(), self]
+        heappush(env._queue, entry)
+        env._live += 1
 
     def cancel(self) -> None:
         """Disarm without firing (no-op if not armed)."""

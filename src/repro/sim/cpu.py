@@ -143,6 +143,8 @@ class CpuTask:
         "_rate",
         "_bank",
         "_slot",
+        "_wi",
+        "_ci",
     )
 
     def __init__(
@@ -163,6 +165,10 @@ class CpuTask:
         self.label = label
         self._bank: Optional["SharedCPU"] = None
         self._slot = -1
+        #: Weight and cap as exact scaled integers, cached by the bank's
+        #: ``_add`` for its ``_remove`` while its sums are exact.
+        self._wi: Optional[int] = None
+        self._ci: Optional[int] = None
 
     @property
     def work(self) -> float:
@@ -314,13 +320,13 @@ class SharedCPU:
     def _add(self, task: CpuTask) -> None:
         self._tasks.add(task)
         if self._w_exact:
-            wi = _exact_scaled(task.weight)
+            wi = task._wi = _exact_scaled(task.weight)
             if wi is None:
                 self._w_exact = False
             else:
                 self._wsum_i += wi
         if self._cap_exact:
-            ci = _exact_scaled(task.max_rate)
+            ci = task._ci = _exact_scaled(task.max_rate)
             if ci is None:
                 self._cap_exact = False
             else:
@@ -383,10 +389,12 @@ class SharedCPU:
         task._bank = None
         task._slot = -1
         self._n -= 1
+        # A sum still exact now was exact when the task joined, so the
+        # task's scaled values were cached then.
         if self._w_exact:
-            self._wsum_i -= _exact_scaled(task.weight)
+            self._wsum_i -= task._wi
         if self._cap_exact:
-            self._capsum_i -= _exact_scaled(task.max_rate)
+            self._capsum_i -= task._ci
         if self._n == 0:
             self._reset_columns()
         elif self._vector:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+
+from repro.sim.core import NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -66,7 +69,10 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        # Inlined ``env.schedule(self)``: the hottest push of the kernel.
+        env = self.env
+        heappush(env._queue, [env._now, NORMAL, env._next_eid(), self])
+        env._live += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -98,13 +104,18 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        super().__init__(env)
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        self.delay = float(delay)
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=self.delay)
+        self._ok = True
+        self.defused = False
+        self.delay = delay = float(delay)
+        # Inlined ``env.schedule(self, delay)`` (same entry, same sequence
+        # counter): one Timeout per simulated delay makes this a hot path.
+        heappush(env._queue, [env._now + delay, NORMAL, env._next_eid(), self])
+        env._live += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Timeout delay={self.delay!r} at {id(self):#x}>"

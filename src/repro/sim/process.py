@@ -28,6 +28,9 @@ class Process(Event):
     process resumes when the yielded event triggers, receiving its value (or
     having its exception thrown in).  The process itself is an event that
     triggers when the generator returns (value = return value) or raises.
+    A return with no callback attached settles the process in place, without
+    a calendar entry; a raise is always scheduled, so an exception nobody
+    handles still propagates out of :meth:`Environment.run`.
     """
 
     __slots__ = ("_generator", "_target", "_send", "_throw")
@@ -94,7 +97,13 @@ class Process(Event):
                         next_target = self._throw(event._value)
                 except StopIteration as stop:
                     self._target = None
-                    self.succeed(stop.value)
+                    if self.callbacks:
+                        self.succeed(stop.value)
+                    else:
+                        # Nothing waits: an end event would run no callback.
+                        self._ok = True
+                        self._value = stop.value
+                        self.callbacks = None
                     return
                 except BaseException as exc:
                     self._target = None

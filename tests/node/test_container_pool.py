@@ -8,10 +8,10 @@ from repro.node.memory import MemoryPool
 from repro.node.pool import ContainerPool
 
 
-def make_pool(env, config, memory_mb=None, manage_pause=True):
+def make_pool(env, config, memory_mb=None):
     memory = MemoryPool(memory_mb or config.memory_mb)
     daemon = DockerDaemon(env, config)
-    return ContainerPool(env, config, daemon, memory, manage_pause=manage_pause), memory
+    return ContainerPool(env, config, daemon, memory), memory
 
 
 class TestSeeding:
@@ -62,19 +62,10 @@ class TestAcquire:
         pool, _ = make_pool(env, config)
         pool.seed_warm(catalog["graph-bfs"], 2)
         plan1 = pool.acquire(catalog["graph-bfs"])
-        pool.release(plan1.container)  # now HOT (manage_pause grace)
+        pool.release(plan1.container)  # now HOT (pause grace)
         plan2 = pool.acquire(catalog["graph-bfs"])
         assert plan2.kind == "hot"
         assert plan2.container is plan1.container
-
-    def test_no_hot_without_manage_pause(self, env, config, catalog):
-        pool, _ = make_pool(env, config, manage_pause=False)
-        pool.seed_warm(catalog["graph-bfs"], 1)
-        plan1 = pool.acquire(catalog["graph-bfs"])
-        pool.release(plan1.container)
-        assert plan1.container.state is ContainerState.PAUSED
-        plan2 = pool.acquire(catalog["graph-bfs"])
-        assert plan2.kind == "warm"
 
     def test_prewarm_used_before_cold(self, env, config, catalog):
         pool, _ = make_pool(env, config)
@@ -177,15 +168,6 @@ class TestPauseLifecycle:
 
         env.process(scenario(env))
         env.run()
-
-    def test_release_without_manage_pause_pauses_immediately(self, env, config, catalog):
-        pool, _ = make_pool(env, config, manage_pause=False)
-        pool.seed_warm(catalog["graph-bfs"], 1)
-        plan = pool.acquire(catalog["graph-bfs"])
-        pool.release(plan.container)
-        assert plan.container.state is ContainerState.PAUSED
-        env.run()
-        assert pool.daemon.op_counts["pause"] == 0  # no daemon pause op
 
     def test_calls_served_counter(self, env, config, catalog):
         pool, _ = make_pool(env, config)

@@ -260,6 +260,52 @@ class TestProcess:
         with pytest.raises(TypeError):
             env.process(lambda: None)
 
+    @staticmethod
+    def _returns_at_once(env):
+        return "settled"
+        yield  # pragma: no cover - makes this a generator
+
+    def test_unawaited_return_settles_in_place(self):
+        env = Environment()
+        p = env.process(self._returns_at_once(env))
+        env.step()  # the start event
+        assert p.processed and p.ok and p.value == "settled"
+        assert env.scheduled_count == 0  # no end event nobody listens to
+
+    def test_yield_on_settled_process_resumes_at_once(self):
+        env = Environment()
+        p = env.process(self._returns_at_once(env))
+
+        def late(env):
+            yield env.timeout(5.0)
+            value = yield p
+            return (env.now, value)
+
+        waiter = env.process(late(env))
+        env.run()
+        assert waiter.value == (5.0, "settled")
+
+    def test_run_until_and_conditions_on_settled_process(self):
+        env = Environment()
+        p = env.process(self._returns_at_once(env))
+        env.run()
+        assert env.run(until=p) == "settled"
+        assert AllOf(env, [p]).value == {p: "settled"}
+        assert AnyOf(env, [p]).value == {p: "settled"}
+
+    def test_unawaited_failure_is_still_scheduled(self):
+        env = Environment()
+
+        def fails_at_once(env):
+            raise RuntimeError("unawaited")
+            yield  # pragma: no cover - makes this a generator
+
+        env.process(fails_at_once(env))
+        env.step()  # the start event
+        assert env.scheduled_count == 1
+        with pytest.raises(RuntimeError, match="unawaited"):
+            env.run()
+
 
 class TestConditions:
     def test_all_of_waits_for_all(self):

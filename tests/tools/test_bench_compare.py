@@ -1,6 +1,5 @@
-"""tools/bench_compare.py: the legacy min-time differ and the
-significance gate, including the zero/missing-baseline edge that used to
-produce an infinite percentage."""
+"""tools/bench_compare.py: the significance gate over pytest-benchmark
+per-round samples."""
 
 import json
 import random
@@ -29,57 +28,6 @@ def stats_for(samples) -> dict:
     return {"min": min(samples), "data": list(samples)}
 
 
-class TestLegacyDiffer:
-    def test_regression_beyond_threshold_fails(self, tmp_path, capsys):
-        old = bench_json(tmp_path / "old.json", {"b": {"min": 1.0}})
-        new = bench_json(tmp_path / "new.json", {"b": {"min": 1.5}})
-        assert bench_compare.main([str(old), str(new)]) == 1
-        assert "REGRESSION (+50.0%)" in capsys.readouterr().out
-
-    def test_within_threshold_passes(self, tmp_path, capsys):
-        old = bench_json(tmp_path / "old.json", {"b": {"min": 1.0}})
-        new = bench_json(tmp_path / "new.json", {"b": {"min": 1.1}})
-        assert bench_compare.main([str(old), str(new)]) == 0
-        assert "within threshold" in capsys.readouterr().out
-
-    def test_zero_baseline_is_na_not_infinite_regression(self, tmp_path, capsys):
-        """The historical edge: a 0.0 baseline min used to produce
-        ``ratio = inf`` and an infinite-percentage REGRESSION verdict."""
-        old = bench_json(tmp_path / "old.json", {"b": {"min": 0.0}})
-        new = bench_json(tmp_path / "new.json", {"b": {"min": 1.0}})
-        assert bench_compare.main([str(old), str(new)]) == 0
-        out = capsys.readouterr().out
-        assert "n/a (no usable timing)" in out
-        assert "inf" not in out
-        assert "REGRESSION" not in out
-
-    def test_missing_min_is_na_not_crash(self, tmp_path, capsys):
-        old = bench_json(tmp_path / "old.json", {"b": {}})
-        new = bench_json(tmp_path / "new.json", {"b": {"min": 1.0}})
-        assert bench_compare.main([str(old), str(new)]) == 0
-        assert "n/a" in capsys.readouterr().out
-
-    def test_disjoint_benchmarks_exit_2(self, tmp_path, capsys):
-        old = bench_json(tmp_path / "old.json", {"a": {"min": 1.0}})
-        new = bench_json(tmp_path / "new.json", {"b": {"min": 1.0}})
-        assert bench_compare.main([str(old), str(new)]) == 2
-        assert "no shared benchmarks" in capsys.readouterr().out
-
-    def test_not_a_benchmark_json_raises(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"something": "else"}))
-        with pytest.raises(ValueError, match="not a pytest-benchmark"):
-            bench_compare.load_benchmarks(bad)
-
-    def test_compare_rows_sort_regressions_first(self):
-        old = {"fast": {"min": 1.0}, "slow": {"min": 1.0}, "na": {"min": 0.0}}
-        new = {"fast": {"min": 0.5}, "slow": {"min": 2.0}, "na": {"min": 1.0}}
-        rows = bench_compare.compare(old, new, threshold=0.2)
-        assert [r[0] for r in rows] == ["slow", "fast", "na"]
-        assert rows[0][4] is True  # slow regressed
-        assert rows[2][3] is None and rows[2][4] is False  # na: no verdict
-
-
 class TestSignificanceGate:
     @staticmethod
     def noisy(rng, center, n=20):
@@ -93,15 +41,14 @@ class TestSignificanceGate:
         new = bench_json(
             tmp_path / "new.json", {"b": stats_for(self.noisy(rng, 1.5))}
         )
-        assert bench_compare.main(["--gate", str(old), str(new)]) == 1
+        assert bench_compare.main([str(old), str(new)]) == 1
         out = capsys.readouterr().out
         assert "significant regression(s)" in out
         assert "p(holm)" in out
 
     def test_large_min_blip_with_overlapping_samples_passes(self, tmp_path, capsys):
-        """The gate's point: one fast outlier round shifts the min >20%
-        (legacy mode fails), but the distributions are indistinguishable
-        so the gate passes."""
+        """The gate's point: one fast outlier round shifts the min >20%,
+        but the distributions are indistinguishable, so the gate passes."""
         rng = random.Random(2)
         base = self.noisy(rng, 1.0)
         candidate = self.noisy(rng, 1.0)
@@ -110,9 +57,7 @@ class TestSignificanceGate:
             tmp_path / "old.json", {"b": stats_for(base_with_outlier)}
         )
         new = bench_json(tmp_path / "new.json", {"b": stats_for(candidate)})
-        assert bench_compare.main([str(old), str(new)]) == 1  # legacy: fails
-        capsys.readouterr()
-        assert bench_compare.main(["--gate", str(old), str(new)]) == 0
+        assert bench_compare.main([str(old), str(new)]) == 0
         assert "no significant regressions" in capsys.readouterr().out
 
     def test_significant_speedup_is_reported_not_failed(self, tmp_path, capsys):
@@ -123,7 +68,7 @@ class TestSignificanceGate:
         new = bench_json(
             tmp_path / "new.json", {"b": stats_for(self.noisy(rng, 1.0))}
         )
-        assert bench_compare.main(["--gate", str(old), str(new)]) == 0
+        assert bench_compare.main([str(old), str(new)]) == 0
         assert "significant improvement(s)" in capsys.readouterr().out
 
     def test_alpha_is_configurable(self, tmp_path):
@@ -134,8 +79,8 @@ class TestSignificanceGate:
         new_samples = [1.03 + 0.05 * rng.random() for _ in range(6)]
         old = bench_json(tmp_path / "old.json", {"b": stats_for(old_samples)})
         new = bench_json(tmp_path / "new.json", {"b": stats_for(new_samples)})
-        permissive = bench_compare.main(["--gate", "--alpha", "0.5", str(old), str(new)])
-        strict = bench_compare.main(["--gate", "--alpha", "0.001", str(old), str(new)])
+        permissive = bench_compare.main(["--alpha", "0.5", str(old), str(new)])
+        strict = bench_compare.main(["--alpha", "0.001", str(old), str(new)])
         assert strict == 0
         assert permissive in (0, 1)  # depends on draw; strictness must not fail
 
@@ -149,14 +94,27 @@ class TestSignificanceGate:
             tmp_path / "new.json",
             {"with": stats_for(self.noisy(rng, 1.0)), "without": {"min": 1.0}},
         )
-        assert bench_compare.main(["--gate", str(old), str(new)]) == 0
+        assert bench_compare.main([str(old), str(new)]) == 0
         assert "without: skipped" in capsys.readouterr().out
 
     def test_no_samples_anywhere_exit_2(self, tmp_path, capsys):
         old = bench_json(tmp_path / "old.json", {"b": {"min": 1.0}})
         new = bench_json(tmp_path / "new.json", {"b": {"min": 1.0}})
-        assert bench_compare.main(["--gate", str(old), str(new)]) == 2
+        assert bench_compare.main([str(old), str(new)]) == 2
         assert "stats.data" in capsys.readouterr().out
+
+    def test_disjoint_benchmarks_exit_2(self, tmp_path, capsys):
+        rng = random.Random(6)
+        old = bench_json(tmp_path / "old.json", {"a": stats_for(self.noisy(rng, 1.0))})
+        new = bench_json(tmp_path / "new.json", {"b": stats_for(self.noisy(rng, 1.0))})
+        assert bench_compare.main([str(old), str(new)]) == 2
+        assert "no shared benchmark" in capsys.readouterr().out
+
+    def test_not_a_benchmark_json_raises(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"something": "else"}))
+        with pytest.raises(ValueError, match="not a pytest-benchmark"):
+            bench_compare.load_benchmarks(bad)
 
     def test_gate_on_committed_baselines_is_deterministic(self):
         """The committed BENCH pair carries raw samples; the gate must

@@ -1,37 +1,25 @@
-"""Compare two pytest-benchmark JSON files and flag regressions.
+"""Compare two pytest-benchmark JSON files and flag significant regressions.
 
 Usage::
 
     python tools/bench_compare.py BENCH_old.json BENCH_new.json
-    python tools/bench_compare.py --threshold 0.10 old.json new.json
-    python tools/bench_compare.py --gate --alpha 0.01 old.json new.json
+    python tools/bench_compare.py --alpha 0.01 old.json new.json
 
 Reads the ``--benchmark-json`` output of two benchmark runs (e.g. the
 committed ``benchmarks/BENCH_kernel_before.json`` /
 ``BENCH_kernel_after.json`` pair, or a CI run against the committed
-baseline), matches benchmarks by name, and reports the comparison.  Exits
-non-zero on a regression, so a CI job can surface kernel performance
-regressions — run it ``continue-on-error`` if the signal should stay
-advisory.
-
-Two modes:
-
-* **Legacy differ** (default): compares each benchmark's *minimum*
-  observed time — the least noise-sensitive location statistic for a
-  deterministic workload (everything above it is scheduler/cache
-  interference) — and flags ratios beyond ``--threshold`` (default 20%).
-  A benchmark with a zero/missing baseline timing renders as ``n/a``
-  instead of an infinite percentage and never counts as a regression.
-
-* **Significance gate** (``--gate``): feeds the per-round raw samples
-  (``stats.data``) of both runs through
-  :func:`repro.metrics.compare.compare_samples` — Mann-Whitney U per
-  benchmark with Holm correction across all shared benchmarks, Cliff's
-  delta effect sizes, and bootstrap CIs on the mean difference.  A
-  benchmark regresses only when the corrected test is significant at
-  ``--alpha`` *and* the candidate is slower; a >20% min-time blip backed
-  by overlapping distributions no longer trips CI.  See
-  docs/COMPARISONS.md.
+baseline) and matches benchmarks by name.  The per-round raw samples
+(``stats.data``) of both runs feed
+:func:`repro.metrics.compare.compare_samples`: Mann-Whitney U per
+benchmark with Holm correction across all shared benchmarks, Cliff's
+delta effect sizes, and bootstrap CIs on the mean difference.  A
+benchmark regresses only when the corrected test is significant at
+``--alpha`` *and* the candidate is slower, so a one-round blip that moves
+the minimum time but leaves the distributions overlapping passes.  Exits
+1 on a regression and 2 when no shared benchmark carries raw samples, so
+a CI job can surface kernel performance regressions — run it
+``continue-on-error`` if the signal should stay advisory.  See
+docs/COMPARISONS.md.
 """
 
 from __future__ import annotations
@@ -55,43 +43,6 @@ def load_benchmarks(path: Path) -> Dict[str, dict]:
     if not isinstance(benchmarks, list):
         raise ValueError(f"{path}: not a pytest-benchmark JSON file")
     return {bench["name"]: bench["stats"] for bench in benchmarks}
-
-
-def format_seconds(value: Optional[float]) -> str:
-    if value is None:
-        return "n/a"
-    if value >= 1.0:
-        return f"{value:.3f}s"
-    if value >= 1e-3:
-        return f"{value * 1e3:.2f}ms"
-    return f"{value * 1e6:.1f}us"
-
-
-def _min_of(stats: dict) -> Optional[float]:
-    """A benchmark's minimum time, or ``None`` when absent/unusable — a
-    hand-edited or truncated JSON must degrade to "n/a", not crash or
-    produce an infinite percentage."""
-    value = stats.get("min")
-    if not isinstance(value, (int, float)) or value <= 0:
-        return None
-    return float(value)
-
-
-def compare(old: Dict[str, dict], new: Dict[str, dict], threshold: float):
-    """Yield ``(name, old_min, new_min, ratio, regressed)`` rows for the
-    shared benchmarks, slowest regression first.  ``ratio`` is ``None``
-    (and ``regressed`` False) when either side has no usable timing."""
-    rows: List[Tuple[str, Optional[float], Optional[float], Optional[float], bool]] = []
-    for name in sorted(set(old) & set(new)):
-        old_min = _min_of(old[name])
-        new_min = _min_of(new[name])
-        if old_min is None or new_min is None:
-            rows.append((name, old_min, new_min, None, False))
-            continue
-        ratio = new_min / old_min
-        rows.append((name, old_min, new_min, ratio, ratio > 1.0 + threshold))
-    rows.sort(key=lambda row: -(row[3] if row[3] is not None else 0.0))
-    return rows
 
 
 def gate_comparison(
@@ -143,8 +94,7 @@ def run_gate(old: Dict[str, dict], new: Dict[str, dict], args) -> int:
     if comparison is None:
         print(
             "no shared benchmark carries raw per-round samples "
-            "(stats.data); rerun pytest-benchmark with --benchmark-json "
-            "or drop --gate for the min-time differ"
+            "(stats.data); rerun pytest-benchmark with --benchmark-json"
         )
         return 2
     print(
@@ -172,85 +122,30 @@ def run_gate(old: Dict[str, dict], new: Dict[str, dict], args) -> int:
     return 0
 
 
-def run_differ(old: Dict[str, dict], new: Dict[str, dict], args) -> int:
-    rows = compare(old, new, args.threshold)
-    only_old = sorted(set(old) - set(new))
-    only_new = sorted(set(new) - set(old))
-    if not rows:
-        print("no shared benchmarks between the two files")
-        return 2
-
-    width = max(len(name) for name, *_ in rows)
-    regressions = 0
-    for name, old_min, new_min, ratio, regressed in rows:
-        if ratio is None:
-            verdict = "n/a (no usable timing)"
-        elif regressed:
-            verdict = f"REGRESSION (+{(ratio - 1.0) * 100.0:.1f}%)"
-            regressions += 1
-        elif ratio < 1.0:
-            verdict = f"{1.0 / ratio:.2f}x faster"
-        else:
-            verdict = f"+{(ratio - 1.0) * 100.0:.1f}% (within threshold)"
-        print(
-            f"{name:<{width}}  {format_seconds(old_min):>10} -> "
-            f"{format_seconds(new_min):>10}  {verdict}"
-        )
-    for name in only_old:
-        print(f"{name:<{width}}  removed (baseline only)")
-    for name in only_new:
-        print(f"{name:<{width}}  new (no baseline)")
-
-    if regressions:
-        print(
-            f"\n{regressions} benchmark(s) regressed beyond "
-            f"{args.threshold * 100:.0f}% tolerance"
-        )
-        return 1
-    print("\nno regressions beyond tolerance")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Diff two pytest-benchmark JSON files and flag regressions."
+        description=(
+            "Compare two pytest-benchmark JSON files: Mann-Whitney U over "
+            "each benchmark's raw per-round samples, Holm-corrected; only a "
+            "statistically significant slowdown fails."
+        )
     )
     parser.add_argument("old", type=Path, help="baseline benchmark JSON")
     parser.add_argument("new", type=Path, help="candidate benchmark JSON")
     parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.20,
-        help="max tolerated slowdown fraction before failing (default 0.20)",
-    )
-    parser.add_argument(
-        "--gate",
-        action="store_true",
-        help=(
-            "significance-tested mode: Mann-Whitney U over each "
-            "benchmark's raw per-round samples, Holm-corrected; only a "
-            "statistically significant slowdown fails"
-        ),
-    )
-    parser.add_argument(
         "--alpha",
         type=float,
         default=0.05,
-        help="family-wise significance level for --gate (default 0.05)",
+        help="family-wise significance level (default 0.05)",
     )
     parser.add_argument(
         "--resamples",
         type=int,
         default=2000,
-        help="bootstrap resamples per CI in --gate mode (default 2000)",
+        help="bootstrap resamples per CI (default 2000)",
     )
     args = parser.parse_args(argv)
-
-    old = load_benchmarks(args.old)
-    new = load_benchmarks(args.new)
-    if args.gate:
-        return run_gate(old, new, args)
-    return run_differ(old, new, args)
+    return run_gate(load_benchmarks(args.old), load_benchmarks(args.new), args)
 
 
 if __name__ == "__main__":
