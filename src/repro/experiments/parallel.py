@@ -55,7 +55,7 @@ from repro.experiments.runner import (
     run_experiment,
     run_multi_node_experiment,
 )
-from repro.metrics.serialize import records_from_dicts, records_to_dicts
+from repro.metrics.serialize import records_from_columns, records_to_columns
 from repro.metrics.streaming import SummaryAccumulator
 
 __all__ = [
@@ -88,7 +88,9 @@ ProgressCallback = Callable[[int, int, str, bool], None]
 #: (streaming metrics fold) and ``records`` may be ``null``.
 #: v6: configs carry ``failures`` (FailureSpec); records may carry
 #: ``attempts``/``outcome`` and summaries the failure counters.
-CACHE_SCHEMA_VERSION = 6
+#: v7: ``records`` is stored column by column (float columns as packed
+#: little-endian float64 bytes, see :mod:`repro.metrics.serialize`).
+CACHE_SCHEMA_VERSION = 7
 
 _CONFIG_TYPES = {
     "ExperimentConfig": ExperimentConfig,
@@ -162,13 +164,15 @@ def config_fingerprint(config: AnyConfig, *, namespace: str = "") -> str:
 def result_to_payload(result: ExperimentResult) -> Dict[str, Any]:
     """A JSON-compatible payload for one experiment result.
 
-    Streaming results (``records is None``) serialize a ``null`` record
-    list plus the constant-size accumulator — a cached million-invocation
-    streaming cell stays a few hundred bytes on disk.
+    Retained records are stored column by column
+    (:func:`~repro.metrics.serialize.records_to_columns`), which keeps
+    every float bit.  Streaming results (``records is None``) serialize a
+    ``null`` record list plus the constant-size accumulator — a cached
+    million-invocation streaming cell stays a few hundred bytes on disk.
     """
     return {
         "config": config_to_dict(result.config),
-        "records": None if result.records is None else records_to_dicts(result.records),
+        "records": None if result.records is None else records_to_columns(result.records),
         "node_stats": result.node_stats,
         "balancer_stats": result.balancer_stats,
         "accumulator": (
@@ -183,7 +187,7 @@ def result_from_payload(payload: Dict[str, Any]) -> ExperimentResult:
     accumulator = payload.get("accumulator")
     return ExperimentResult(
         config=config_from_dict(payload["config"]),
-        records=None if records is None else records_from_dicts(records),
+        records=None if records is None else records_from_columns(records),
         node_stats=payload["node_stats"],
         balancer_stats=payload.get("balancer_stats"),
         accumulator=(

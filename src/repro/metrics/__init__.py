@@ -29,9 +29,9 @@ from repro.metrics.stats import (
 )
 from repro.metrics.report import format_table, render_summary_table
 from repro.metrics.serialize import (
-    record_from_dict,
     record_to_dict,
-    records_from_dicts,
+    records_from_columns,
+    records_to_columns,
     records_to_dicts,
 )
 from repro.metrics.streaming import (
@@ -74,9 +74,9 @@ __all__ = [
     "holm_bonferroni",
     "mann_whitney_u",
     "percentile",
-    "record_from_dict",
     "record_to_dict",
-    "records_from_dicts",
+    "records_from_columns",
+    "records_to_columns",
     "records_to_dicts",
     "render_boxplot",
     "render_summary_table",

@@ -6,6 +6,9 @@ import time
 
 import pytest
 
+import repro
+import repro.experiments.parallel as parallel
+from repro.cli import main
 from repro.experiments.cache_tools import (
     CacheMergeError,
     cache_stats,
@@ -13,8 +16,14 @@ from repro.experiments.cache_tools import (
     merge_caches,
 )
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import ResultCache, run_configs
+from repro.experiments.parallel import (
+    ResultCache,
+    config_fingerprint,
+    result_to_payload,
+    run_configs,
+)
 from repro.experiments.queue import enqueue_config, try_claim
+from repro.metrics.serialize import records_to_dicts
 
 
 def _config(seed: int = 1, **overrides) -> ExperimentConfig:
@@ -195,3 +204,56 @@ class TestMerge:
     def test_missing_source_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             merge_caches(tmp_path / "nope", tmp_path / "dst")
+
+
+def _write_v6_entry(root, config, result, monkeypatch):
+    """An entry as schema 6 stored it: one JSON object per record, under
+    the schema-6 fingerprint."""
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "CACHE_SCHEMA_VERSION", 6)
+        fingerprint = config_fingerprint(config)
+    payload = result_to_payload(result)
+    payload["records"] = records_to_dicts(result.records)
+    path = root / fingerprint[:2] / f"{fingerprint}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps(
+            {
+                "fingerprint": fingerprint,
+                "schema": 6,
+                "package_version": repro.__version__,
+                "result": payload,
+            }
+        )
+    )
+    return path
+
+
+class TestSchemaV6Entries:
+    """Row-format entries from before the column layout are never served;
+    ``cache verify`` reports them stale and ``cache gc`` reclaims them."""
+
+    def test_never_served(self, tmp_path, results, monkeypatch):
+        config, result = results[0]
+        _write_v6_entry(tmp_path, config, result, monkeypatch)
+        assert ResultCache(tmp_path).load(config) is None
+
+    def test_cache_verify_reports_stale(self, tmp_path, results, monkeypatch, capsys):
+        _fill(tmp_path, results[1:])
+        path = _write_v6_entry(tmp_path, *results[0], monkeypatch)
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
+        assert "scanned: 3  ok: 2  corrupt: 0  stale: 1" in capsys.readouterr().out
+        assert not path.exists()
+        assert (tmp_path / "quarantine" / f"{path.parent.name}-{path.name}").exists()
+
+    def test_cache_gc_counts_dead_weight(self, tmp_path, results, monkeypatch, capsys):
+        _fill(tmp_path, results[1:])
+        path = _write_v6_entry(tmp_path, *results[0], monkeypatch)
+        size = path.stat().st_size
+        report = gc_cache(tmp_path)
+        assert (report.evicted, report.kept, report.freed_bytes) == (1, 2, size)
+        assert report.reasons == {path.stem: "stale"}
+        assert not path.exists()
+        _write_v6_entry(tmp_path, *results[0], monkeypatch)
+        assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
+        assert "[1 stale]" in capsys.readouterr().out

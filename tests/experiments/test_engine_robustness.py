@@ -201,3 +201,62 @@ class TestVerifyCache:
         configs = self.populate(tmp_path)
         stems = {p.stem for p in self.entry_paths(tmp_path)}
         assert stems == {config_fingerprint(c) for c in configs}
+
+
+def _truncate_float_column(records):
+    text = records["columns"]["completed_at"]
+    records["columns"]["completed_at"] = text[: len(text) - 8]
+
+
+def _drop_one_value(records):
+    records["columns"]["rid"].pop()
+
+
+def _non_base64(records):
+    text = records["columns"]["exec_end"]
+    records["columns"]["exec_end"] = "*" + text[1:]
+
+
+def _negative_code(records):
+    records["columns"]["function_name"]["codes"][0] = -1
+
+
+def _code_out_of_range(records):
+    column = records["columns"]["start_kind"]
+    column["codes"][0] = len(column["values"])
+
+
+def _count_disagrees(records):
+    records["n"] += 1
+
+
+#: Ways a stored entry's packed record columns can be damaged.
+DAMAGE = {
+    "truncated float column": _truncate_float_column,
+    "column with n - 1 values": _drop_one_value,
+    "non-base64 characters": _non_base64,
+    "negative string code": _negative_code,
+    "out-of-range string code": _code_out_of_range,
+    "n disagrees with the columns": _count_disagrees,
+}
+
+
+class TestDamagedPackedEntries:
+    """A damaged record column is a miss for ``load`` and ``corrupt`` for
+    ``verify_cache``, never an exception or wrongly decoded records."""
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_entry_is_a_miss_and_quarantined(self, tmp_path, damage):
+        config = tiny_configs(1)[0]
+        cache = parallel.ResultCache(tmp_path)
+        path = cache.store(config, run_experiment(config))
+        payload = json.loads(path.read_text())
+        DAMAGE[damage](payload["result"]["records"])
+        path.write_text(json.dumps(payload))
+
+        assert cache.load(config) is None
+        assert cache.misses == 1
+        report = verify_cache(tmp_path)
+        assert (report.scanned, report.corrupt, report.stale) == (1, 1, 0)
+        assert report.quarantined == [f"{path.parent.name}-{path.name}"]
+        assert not path.exists()

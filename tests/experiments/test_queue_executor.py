@@ -140,6 +140,28 @@ class TestQueueExecutor:
         assert verify_cache(tmp_path).bad == 0
         assert pending_fingerprints(tmp_path) == []
 
+    def test_damaged_packed_column_is_quarantined_and_recomputed(self, tmp_path):
+        config = _config()
+        fingerprint = config_fingerprint(config)
+        marker = ResultCache(tmp_path).store(config, run_configs([config])[0])
+        payload = json.loads(marker.read_text(encoding="utf-8"))
+        # Well-formed JSON whose string codes point before the value list.
+        payload["result"]["records"]["columns"]["function_name"]["codes"][0] = -1
+        marker.write_text(json.dumps(payload), encoding="utf-8")
+        stats = EngineStats()
+        results = run_configs(
+            [config], cache_dir=tmp_path, executor="queue", stats=stats
+        )
+        assert len(results) == 1
+        assert stats.computed == 1
+        reloaded = ResultCache(tmp_path).load(config)
+        assert reloaded is not None
+        assert reloaded.records == results[0].records
+        quarantined = sorted(p.name for p in (tmp_path / QUARANTINE_DIR).iterdir())
+        assert quarantined == [f"{fingerprint[:2]}-{fingerprint}.json"]
+        assert verify_cache(tmp_path).bad == 0
+        assert pending_fingerprints(tmp_path) == []
+
     def test_jobs_spawn_local_helpers(self, tmp_path):
         configs = [_config(seed=s) for s in (1, 2, 3, 4)]
         stats = EngineStats()

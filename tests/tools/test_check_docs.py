@@ -1,0 +1,104 @@
+"""tools/check_docs.py: every catalog page in docs/ matches the code."""
+
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent.parent / "tools"))
+
+import check_docs  # noqa: E402
+
+CATALOGS = {catalog.doc: catalog for catalog in check_docs.CATALOGS}
+
+
+@pytest.fixture
+def docs_copy(tmp_path):
+    target = tmp_path / "docs"
+    shutil.copytree(check_docs.DOCS_DIR, target)
+    return target
+
+
+def remove_first_heading(catalog, docs_dir):
+    """Delete the first heading that names something the code defines;
+    returns that name."""
+    path = docs_dir / catalog.doc
+    text = path.read_text(encoding="utf-8")
+    defined = set(catalog.defined())
+    heading = next(m for m in check_docs.HEADING.finditer(text) if m["name"] in defined)
+    end = text.index("\n", heading.start()) + 1
+    path.write_text(text[: heading.start()] + text[end:], encoding="utf-8")
+    return heading["name"]
+
+
+def add_unknown_heading(catalog, docs_dir):
+    path = docs_dir / catalog.doc
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text + "\n## `no-such-entry` — stale\n", encoding="utf-8")
+    return "no-such-entry"
+
+
+def test_repository_docs_pass(capsys):
+    assert check_docs.main() == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert len(out.out.splitlines()) == len(CATALOGS)
+
+
+@pytest.mark.parametrize("doc", sorted(CATALOGS))
+def test_removed_heading_fails_and_names_the_entry(docs_copy, doc, capsys):
+    catalog = CATALOGS[doc]
+    name = remove_first_heading(catalog, docs_copy)
+    problems, _ = check_docs.check(catalog, docs_copy)
+    error = f"{catalog.missing} missing from docs/{doc}: {name}"
+    assert problems == [error]
+    assert check_docs.main(docs_copy) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("doc", sorted(CATALOGS))
+def test_unknown_heading_fails_and_names_the_entry(docs_copy, doc, capsys):
+    catalog = CATALOGS[doc]
+    name = add_unknown_heading(catalog, docs_copy)
+    problems, _ = check_docs.check(catalog, docs_copy)
+    error = f"docs/{doc} documents {catalog.unknown}: {name}"
+    assert problems == [error]
+    assert check_docs.main(docs_copy) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_allowed_extra_is_not_stale():
+    catalog = CATALOGS["POLICIES.md"]
+    assert "baseline" not in set(catalog.defined())
+    assert check_docs.check(catalog, check_docs.DOCS_DIR)[0] == []
+
+
+def test_unmentioned_environment_variable_fails(docs_copy):
+    path = docs_copy / "DISTRIBUTED.md"
+    path.write_text(
+        path.read_text(encoding="utf-8").replace("REPRO_LEASE_TTL", "the TTL variable"),
+        encoding="utf-8",
+    )
+    problems, _ = check_docs.check(CATALOGS["DISTRIBUTED.md"], docs_copy)
+    assert problems == [
+        "environment variables missing from docs/DISTRIBUTED.md: REPRO_LEASE_TTL"
+    ]
+
+
+def test_every_failure_is_reported(docs_copy, capsys):
+    removed = remove_first_heading(CATALOGS["SCENARIOS.md"], docs_copy)
+    added = add_unknown_heading(CATALOGS["FAILURES.md"], docs_copy)
+    (docs_copy / "COMPARISONS.md").unlink()
+    assert check_docs.main(docs_copy) == 1
+    out = capsys.readouterr()
+    assert out.err.splitlines() == [
+        f"error: registered scenario(s) missing from docs/SCENARIOS.md: {removed}",
+        f"error: {docs_copy / 'COMPARISONS.md'} does not exist",
+        f"error: docs/FAILURES.md documents unknown field(s): {added}",
+    ]
+    # The catalogs still in sync are checked and reported too.
+    assert [line.split()[0] for line in out.out.splitlines()] == [
+        "docs/POLICIES.md",
+        "docs/DISTRIBUTED.md",
+    ]

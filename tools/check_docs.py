@@ -1,0 +1,212 @@
+#!/usr/bin/env python
+"""Fail when a catalog page in docs/ is out of sync with the code.
+
+Each row of :data:`CATALOGS` names a page whose ``## `name` ...``
+headings list what the code defines, and checks it in both directions:
+
+* everything the code defines has a heading (nothing undocumented);
+* every heading names something the code defines, or one of the row's
+  allowed extras (no stale catalog entries).
+
+A row may also name things that must be mentioned somewhere in the
+page's text (docs/DISTRIBUTED.md: every ``worker`` / ``cache`` CLI flag
+and the ``REPRO_EXECUTOR`` / ``REPRO_LEASE_TTL`` environment variables).
+Every catalog is checked and every failure reported; the exit status is
+1 if any failed.
+
+Run from the repository root (CI's docs job does)::
+
+    python tools/check_docs.py
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import re
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Dict, FrozenSet, Iterable, List, Set, Tuple
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+DOCS_DIR = REPO_ROOT / "docs"
+
+#: Catalog entries look like: ## `name` — description
+HEADING = re.compile(r"^##\s+`(?P<name>[^`]+)`", re.MULTILINE)
+
+#: Flags that need no documentation.
+IGNORED_FLAGS = {"-h", "--help"}
+
+Parser = argparse.ArgumentParser
+
+
+def _scenarios() -> Iterable[str]:
+    from repro.workload.registry import scenario_names
+
+    return scenario_names()
+
+
+def _policies() -> Iterable[str]:
+    from repro.scheduling.registry import policy_names
+
+    return policy_names()
+
+
+def _comparison_metrics() -> Iterable[str]:
+    from repro.metrics.compare import COMPARE_METRICS
+
+    return COMPARE_METRICS
+
+
+def _failure_fields() -> Iterable[str]:
+    from repro.failures import FailureSpec
+
+    return [field.name for field in dataclasses.fields(FailureSpec)]
+
+
+def _subcommands(parser: Parser) -> Dict[str, Parser]:
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return dict(action.choices)
+    return {}
+
+
+def _flags(parser: Parser) -> Set[str]:
+    flags: Set[str] = set()
+    for action in parser._actions:
+        flags.update(action.option_strings)
+    return flags - IGNORED_FLAGS
+
+
+def _worker_and_cache_verbs() -> Tuple[Parser, Dict[str, Parser]]:
+    """The ``worker`` parser and the ``cache`` verbs' parsers."""
+    from repro.cli import build_parser
+
+    commands = _subcommands(build_parser())
+    return commands["worker"], _subcommands(commands["cache"])
+
+
+def _distributed_entries() -> Iterable[str]:
+    from repro.experiments.executor import executor_names
+
+    _, cache_verbs = _worker_and_cache_verbs()
+    return [*executor_names(), "worker", *(f"cache {verb}" for verb in cache_verbs)]
+
+
+def _distributed_mentions() -> Dict[str, Set[str]]:
+    from repro.experiments.executor import EXECUTOR_ENV
+    from repro.experiments.queue import LEASE_TTL_ENV
+
+    worker, cache_verbs = _worker_and_cache_verbs()
+    flags = _flags(worker)
+    for verb_parser in cache_verbs.values():
+        flags |= _flags(verb_parser)
+    return {"flags": flags, "environment variables": {EXECUTOR_ENV, LEASE_TTL_ENV}}
+
+
+@dataclass(frozen=True)
+class Catalog:
+    """One catalog page and the code it documents."""
+
+    #: File name under the docs directory.
+    doc: str
+    #: Lists what the code defines; each needs a heading.
+    defined: Callable[[], Iterable[str]]
+    #: Error wording: ``<missing> missing from docs/<doc>: ...``.
+    missing: str
+    #: Error wording: ``docs/<doc> documents <unknown>: ...``.
+    unknown: str
+    #: Success wording: ``docs/<doc> covers all <n> <noun>``.
+    noun: str
+    #: Headings allowed although the code does not define them.
+    extras: FrozenSet[str] = frozenset()
+    #: ``what -> names`` that must appear somewhere in the page's text.
+    mentions: Callable[[], Dict[str, Set[str]]] = dict
+
+
+CATALOGS = (
+    Catalog(
+        doc="SCENARIOS.md",
+        defined=_scenarios,
+        missing="registered scenario(s)",
+        unknown="unregistered scenario(s)",
+        noun="registered scenarios",
+    ),
+    Catalog(
+        doc="POLICIES.md",
+        defined=_policies,
+        missing="registered policy(ies)",
+        unknown="unregistered policy(ies)",
+        noun="registered policies",
+        # The stock invoker: documented beside the policies, not registered.
+        extras=frozenset({"baseline"}),
+    ),
+    Catalog(
+        doc="COMPARISONS.md",
+        defined=_comparison_metrics,
+        missing="comparison metric(s)",
+        unknown="unknown metric(s)",
+        noun="comparison metrics",
+    ),
+    Catalog(
+        doc="FAILURES.md",
+        defined=_failure_fields,
+        missing="FailureSpec field(s)",
+        unknown="unknown field(s)",
+        noun="FailureSpec fields",
+    ),
+    Catalog(
+        doc="DISTRIBUTED.md",
+        defined=_distributed_entries,
+        missing="entries",
+        unknown="unknown entries",
+        noun="catalog entries",
+        mentions=_distributed_mentions,
+    ),
+)
+
+
+def check(catalog: Catalog, docs_dir: Path) -> Tuple[List[str], str]:
+    """``(problems, summary)`` for one catalog page under ``docs_dir``;
+    the page is in sync when ``problems`` is empty."""
+    path = Path(docs_dir) / catalog.doc
+    if not path.exists():
+        return [f"{path} does not exist"], ""
+    label = f"docs/{catalog.doc}"
+    text = path.read_text(encoding="utf-8")
+    defined = set(catalog.defined())
+    documented = set(HEADING.findall(text))
+    problems = []
+    undocumented = sorted(defined - documented)
+    if undocumented:
+        problems.append(f"{catalog.missing} missing from {label}: " + ", ".join(undocumented))
+    stale = sorted(documented - defined - catalog.extras)
+    if stale:
+        problems.append(f"{label} documents {catalog.unknown}: " + ", ".join(stale))
+    covered = [f"{len(defined)} {catalog.noun}"]
+    for what, names in catalog.mentions().items():
+        absent = sorted(name for name in names if name not in text)
+        if absent:
+            problems.append(f"{what} missing from {label}: " + ", ".join(absent))
+        covered.append(f"{len(names)} {what}")
+    return problems, f"{label} covers all " + ", ".join(covered)
+
+
+def main(docs_dir: Path = DOCS_DIR) -> int:
+    """Check every catalog under ``docs_dir``; 0 when all are in sync."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    status = 0
+    for catalog in CATALOGS:
+        problems, summary = check(catalog, docs_dir)
+        for problem in problems:
+            print(f"error: {problem}", file=sys.stderr)
+        if problems:
+            status = 1
+        else:
+            print(summary)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
