@@ -100,6 +100,10 @@ class ReactiveAutoscaler:
         #: (sim time, new fleet size) for every completed scale-out.
         self.scale_events: List[tuple[float, int]] = []
         self._provisioning = 0
+        #: Index of the next scaled-out node, advanced once per provision:
+        #: concurrent provisions and crashed roster nodes shrink the live
+        #: list, so its length cannot name new nodes uniquely.
+        self._next_index = len(invokers)
         self._stopped = False
         self._process = env.process(self._control_loop())
 
@@ -155,11 +159,12 @@ class ReactiveAutoscaler:
             yield self.env.timeout(self.config.check_interval_s)
             if self._should_scale_out():
                 self._provisioning += 1
-                self.env.process(self._provision())
+                self.env.process(self._provision(self._next_index))
+                self._next_index += 1
 
-    def _provision(self):
+    def _provision(self, index: int):
         yield self.env.timeout(self.config.provisioning_delay_s)
-        invoker = self._factory(self.fleet_size)
+        invoker = self._factory(index)
         if self.config.warm_new_nodes:
             yield self.env.timeout(self.config.warmup_delay_s)
             invoker.warm_up(sebs_catalog())

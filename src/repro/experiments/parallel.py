@@ -90,7 +90,8 @@ ProgressCallback = Callable[[int, int, str, bool], None]
 #: ``attempts``/``outcome`` and summaries the failure counters.
 #: v7: ``records`` is stored column by column (float columns as packed
 #: little-endian float64 bytes, see :mod:`repro.metrics.serialize`).
-CACHE_SCHEMA_VERSION = 7
+#: v8: concurrently autoscaled nodes get unique names (v7 repeated them).
+CACHE_SCHEMA_VERSION = 8
 
 _CONFIG_TYPES = {
     "ExperimentConfig": ExperimentConfig,

@@ -5,6 +5,9 @@ import pytest
 
 from repro.cluster.autoscaler import AutoscalerConfig, ReactiveAutoscaler
 from repro.cluster.platform import FaaSPlatform
+from repro.cluster.spec import ClusterSpec
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
 from repro.node.baseline import BaselineInvoker
 from repro.node.config import NodeConfig
 from repro.node.invoker import Invoker
@@ -117,3 +120,30 @@ class TestReactiveAutoscaler:
         base_mean = float(np.mean([r.response_time for r in base_records]))
         fc_mean = float(np.mean([r.response_time for r in fc_records]))
         assert fc_mean < base_mean
+
+
+class TestScaledNodeNames:
+    def test_concurrent_scale_outs_get_unique_names(self):
+        # Two provisions overlap: the second starts before the first node
+        # joins the fleet, so the live fleet size cannot name them apart.
+        autoscaler = {"max_nodes": 3, "provisioning_delay_s": 5.0}
+        result = run_experiment(
+            ExperimentConfig(
+                cores=4,
+                intensity=60,
+                policy="FC",
+                cluster=ClusterSpec(
+                    nodes=1, balancer="power-of-d", autoscaler=autoscaler
+                ),
+            )
+        )
+        (first, _), (second, _) = result.balancer_stats["scale_events"]
+        boot = AutoscalerConfig(**autoscaler)
+        assert second - first < boot.provisioning_delay_s + boot.warmup_delay_s
+
+        names = [stats["name"] for stats in result.node_stats]
+        assert names == ["FC-node-0", "scaled-1", "scaled-2"]
+        breakdown = result.cluster_summary()
+        assert [usage.calls for usage in breakdown.nodes] == [
+            stats["completed"] for stats in result.node_stats
+        ]
