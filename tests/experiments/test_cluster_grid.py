@@ -9,8 +9,8 @@ change the cache fingerprint.
 import pytest
 
 from repro.cluster.spec import ClusterSpec
-from repro.experiments.config import ExperimentConfig, MultiNodeConfig
-from repro.experiments.fig6_multinode import fig6_config, run_fig6
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.fig6_multinode import run_fig6
 from repro.experiments.grid import GridSpec, run_grid
 from repro.experiments.parallel import (
     EngineStats,
@@ -21,7 +21,7 @@ from repro.experiments.parallel import (
     result_to_payload,
     run_configs,
 )
-from repro.experiments.runner import run_experiment, run_multi_node_experiment
+from repro.experiments.runner import run_experiment
 
 
 def cluster_spec() -> GridSpec:
@@ -317,43 +317,8 @@ class TestArtifactSweepSeams:
 
 
 class TestFig6Equivalence:
-    """fig6 now rides the engine; its cells must match the legacy
-    multi-node runner bit-for-bit (same simulated system)."""
-
-    def test_cluster_path_matches_legacy_runner(self):
-        legacy = run_multi_node_experiment(
-            MultiNodeConfig(
-                nodes=3, cores_per_node=4, total_requests=110, policy="FC", seed=2
-            )
-        )
-        elevated = run_experiment(fig6_config(3, 4, 110, "FC", 2))
-        assert legacy.records == elevated.records
-        assert legacy.node_stats == elevated.node_stats
-
-    def test_single_node_cell_matches_legacy_runner_up_to_node_name(self):
-        # nodes=1 takes the classic single-node path, whose invoker is
-        # named "FC-node" (the legacy multi-node runner says "FC-node-0");
-        # the simulated system — every timestamp and statistic — is
-        # identical, only the diagnostic name differs.
-        legacy = run_multi_node_experiment(
-            MultiNodeConfig(
-                nodes=1, cores_per_node=4, total_requests=110, policy="FC", seed=2
-            )
-        )
-        elevated = run_experiment(fig6_config(1, 4, 110, "FC", 2))
-        def strip(r):
-            return {k: v for k, v in r.__dict__.items() if k != "invoker"}
-
-        assert [strip(r) for r in legacy.records] == [
-            strip(r) for r in elevated.records
-        ]
-        assert [
-            {k: v for k, v in stats.items() if k != "name"}
-            for stats in legacy.node_stats
-        ] == [
-            {k: v for k, v in stats.items() if k != "name"}
-            for stats in elevated.node_stats
-        ]
+    """fig6 rides the engine; its cells are pinned by the ``cluster:fig6``
+    golden fingerprints (tools/golden_fingerprints.py)."""
 
     def test_fig6_runs_through_the_engine_and_caches(self, tmp_path):
         kwargs = dict(

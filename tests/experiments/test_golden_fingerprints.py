@@ -1,8 +1,9 @@
 """Kernel bit-identity acceptance: golden metric fingerprints.
 
 Every registered scenario (crossed with both node models, plus two heavy
-oversubscription stresses) must produce *bit-identical* metrics output —
-call records, summaries, node diagnostics — to the goldens captured in
+oversubscription stresses and six fleet topologies) must produce
+*bit-identical* metrics output — call records, summaries, node and
+balancer diagnostics — to the goldens captured in
 ``tests/data/golden_kernel_fingerprints.json``, both serially and through
 the parallel execution engine.  The goldens were captured from the
 pre-optimization kernel, so this suite is the proof that the incremental

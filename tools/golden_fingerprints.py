@@ -9,7 +9,8 @@ pins that property:
 * :func:`fingerprint_cases` enumerates one representative config per
   registered workload scenario, crossed with both node models (the
   modified invoker and the stock-OpenWhisk baseline — the latter is the
-  oversubscription stress for the processor-sharing CPU bank).
+  oversubscription stress for the processor-sharing CPU bank), plus the
+  fleet topologies of :func:`cluster_cases`.
 * :func:`compute_fingerprints` runs each case and hashes the exact
   serialized output (floats serialize via ``repr``, which round-trips
   doubles exactly).
@@ -67,7 +68,7 @@ def _replay_params(tmpdir: Path) -> Dict[str, object]:
 
 def fingerprint_cases(tmpdir: Path) -> List[Tuple[str, "object"]]:
     """``(label, ExperimentConfig)`` pairs covering every registered
-    scenario under both node models."""
+    scenario under both node models, then the cluster cases."""
     from repro.experiments.config import ExperimentConfig
     from repro.workload.registry import scenario_names
 
@@ -104,14 +105,71 @@ def fingerprint_cases(tmpdir: Path) -> List[Tuple[str, "object"]]:
             ExperimentConfig(cores=8, intensity=200, policy="FC", seed=1, scenario="skewed"),
         )
     )
-    return cases
+    return cases + cluster_cases()
+
+
+def cluster_cases() -> List[Tuple[str, "object"]]:
+    """Fleet topologies beyond the single node: the paper's Sect. VIII
+    cells, two concurrent scale-outs, a heterogeneous fleet, and node
+    crashes on three nodes and on one (where no crash is ever injected)."""
+    from repro.cluster.spec import ClusterSpec
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.fig6_multinode import fig6_config
+
+    crashes = {"node_crash_rate": 0.02, "node_recovery_s": 5.0}
+    return [
+        *(
+            (f"cluster:fig6:{policy}", fig6_config(3, 4, 110, policy, 2))
+            for policy in POLICIES
+        ),
+        (
+            "cluster:autoscale:FC",
+            ExperimentConfig(
+                cores=4,
+                intensity=60,
+                policy="FC",
+                cluster=ClusterSpec(
+                    nodes=1,
+                    balancer="power-of-d",
+                    autoscaler={"max_nodes": 3, "provisioning_delay_s": 5.0},
+                ),
+            ),
+        ),
+        (
+            "cluster:hetero:SEPT",
+            ExperimentConfig(
+                cores=4,
+                intensity=30,
+                policy="SEPT",
+                cluster=ClusterSpec(
+                    nodes=2, node_overrides=({"cores": 2}, {"cores": 6})
+                ),
+            ),
+        ),
+        (
+            "cluster:crash:FC",
+            ExperimentConfig(
+                cores=4,
+                intensity=30,
+                policy="FC",
+                cluster=ClusterSpec(nodes=3),
+                failures=crashes,
+            ),
+        ),
+        (
+            "uniform:FC:crash-1node",
+            ExperimentConfig(cores=4, intensity=30, policy="FC", failures=crashes),
+        ),
+    ]
 
 
 def result_digest(result) -> str:
     """SHA-256 over the exact serialized metrics output of one run.
 
     Covers the full call-record list (every timestamp field), per-node
-    diagnostics, and the summary statistics.  ``json.dumps`` renders
+    diagnostics, the summary statistics, and the cluster routing
+    diagnostics when the run has them (``balancer_stats`` is ``None`` on
+    a single node, so those digests keep their historical material).  ``json.dumps`` renders
     floats with ``repr`` — exact for IEEE-754 doubles — so two digests
     are equal iff the outputs are bit-identical.
 
@@ -147,6 +205,8 @@ def result_digest(result) -> str:
             "cold_starts": summary.cold_starts,
         },
     }
+    if result.balancer_stats is not None:
+        payload["balancer_stats"] = result.balancer_stats
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
