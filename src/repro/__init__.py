@@ -57,9 +57,7 @@ _EXPORTS = {
     "balancer_names": "repro.cluster.controller",
     "make_balancer": "repro.cluster.controller",
     "ExperimentConfig": "repro.experiments.config",
-    "MultiNodeConfig": "repro.experiments.config",
     "run_experiment": "repro.experiments.runner",
-    "run_multi_node_experiment": "repro.experiments.runner",
     "run_repetitions": "repro.experiments.runner",
     "GridSpec": "repro.experiments.grid",
     "GridResults": "repro.experiments.grid",
@@ -96,7 +94,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.cluster.autoscaler import AutoscalerConfig
     from repro.cluster.controller import balancer_names, make_balancer
     from repro.cluster.spec import ClusterSpec
-    from repro.experiments.config import ExperimentConfig, MultiNodeConfig
+    from repro.experiments.config import ExperimentConfig
     from repro.experiments.grid import GridResults, GridSpec, run_grid
     from repro.experiments.parallel import (
         EngineStats,
@@ -104,11 +102,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         progress_printer,
         run_configs,
     )
-    from repro.experiments.runner import (
-        run_experiment,
-        run_multi_node_experiment,
-        run_repetitions,
-    )
+    from repro.experiments.runner import run_experiment, run_repetitions
     from repro.metrics.records import CallRecord
     from repro.metrics.stats import SummaryStats, summarize
     from repro.scheduling.estimator import RuntimeEstimator

@@ -66,7 +66,7 @@ class ClusterSpec:
     ----------
     nodes:
         Worker-node (invoker) count.  ``1`` with all other fields at
-        their defaults is the classic single-node experiment.
+        their defaults is the paper's single-node experiment.
     balancer:
         Name of a registered load-balancer flavour (see
         :data:`repro.cluster.controller.BALANCERS`).
@@ -136,8 +136,9 @@ class ClusterSpec:
     # ------------------------------------------------------------------
     @property
     def is_default(self) -> bool:
-        """True for the classic single-node topology (the exact historical
-        code path: one invoker, platform-default balancer, no scaling)."""
+        """True for the fleet of one: a single invoker named
+        ``"<policy>-node"``, no ``balancer_stats`` and no crash injector
+        (see :func:`~repro.experiments.runner.run_experiment`)."""
         return self == DEFAULT_CLUSTER
 
     def balancer_kwargs(self) -> Dict[str, Any]:

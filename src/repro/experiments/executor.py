@@ -42,13 +42,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.experiments.parallel import (
-    AnyConfig,
-    EngineStats,
-    ResultCache,
-    Runner,
-)
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.parallel import EngineStats, ResultCache, Runner
+from repro.experiments.runner import ExperimentResult, run_experiment
 
 __all__ = [
     "EXECUTOR_ENV",
@@ -66,7 +62,7 @@ EXECUTOR_ENV = "REPRO_EXECUTOR"
 
 #: ``callback(index, config, result, cached)`` — invoked exactly once per
 #: pending cell, in completion order (results are slotted by ``index``).
-FinishedCallback = Callable[[int, AnyConfig, ExperimentResult, bool], None]
+FinishedCallback = Callable[[int, ExperimentConfig, ExperimentResult, bool], None]
 
 
 @dataclass
@@ -83,6 +79,9 @@ class ExecutionContext:
     cell_timeout: Optional[float] = None
     #: Live counters to fill in place (retries, timeouts, ...).
     stats: EngineStats = field(default_factory=EngineStats)
+    #: What computes each cell: ``run_configs``' ``runner`` argument, or
+    #: :func:`~repro.experiments.runner.run_experiment`.
+    runner: Runner = run_experiment
 
 
 class Executor(ABC):
@@ -101,11 +100,12 @@ class Executor(ABC):
     @abstractmethod
     def execute(
         self,
-        pending: List[Tuple[int, AnyConfig, Runner]],
+        pending: List[Tuple[int, ExperimentConfig]],
         finished: FinishedCallback,
         context: ExecutionContext,
     ) -> None:
-        """Run every pending ``(index, config, runner)`` cell."""
+        """Run every pending ``(index, config)`` cell with
+        ``context.runner``."""
 
 
 class LocalExecutor(Executor):
@@ -121,22 +121,22 @@ class LocalExecutor(Executor):
 
     def execute(
         self,
-        pending: List[Tuple[int, AnyConfig, Runner]],
+        pending: List[Tuple[int, ExperimentConfig]],
         finished: FinishedCallback,
         context: ExecutionContext,
     ) -> None:
         cache = context.cache
 
         def done(
-            index: int, config: AnyConfig, result: ExperimentResult, cached: bool
+            index: int, config: ExperimentConfig, result: ExperimentResult, cached: bool
         ) -> None:
             if cache is not None:
                 cache.store(config, result)
             finished(index, config, result, cached)
 
         if context.jobs <= 1:
-            for index, config, run in pending:
-                done(index, config, run(config), cached=False)
+            for index, config in pending:
+                done(index, config, context.runner(config), cached=False)
             return
         from repro.experiments.parallel import _ProcessEngine
 
@@ -144,6 +144,7 @@ class LocalExecutor(Executor):
             workers=min(context.jobs, len(pending)),
             cell_timeout=context.cell_timeout,
             stats=context.stats,
+            runner=context.runner,
         )
         engine.run(pending, done)
 

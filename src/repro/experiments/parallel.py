@@ -48,13 +48,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, TextIO, Tuple,
 
 import repro
 from repro.cluster.spec import ClusterSpec
-from repro.experiments.config import ExperimentConfig, MultiNodeConfig
+from repro.experiments.config import ExperimentConfig
 from repro.failures.spec import FailureSpec
-from repro.experiments.runner import (
-    ExperimentResult,
-    run_experiment,
-    run_multi_node_experiment,
-)
+from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.metrics.serialize import records_from_columns, records_to_columns
 from repro.metrics.streaming import SummaryAccumulator
 
@@ -75,8 +71,7 @@ __all__ = [
     "verify_cache",
 ]
 
-AnyConfig = Union[ExperimentConfig, MultiNodeConfig]
-Runner = Callable[[AnyConfig], ExperimentResult]
+Runner = Callable[[ExperimentConfig], ExperimentResult]
 ProgressCallback = Callable[[int, int, str, bool], None]
 
 #: Bump when the cached payload layout changes; old entries then miss.
@@ -93,11 +88,6 @@ ProgressCallback = Callable[[int, int, str, bool], None]
 #: v8: concurrently autoscaled nodes get unique names (v7 repeated them).
 CACHE_SCHEMA_VERSION = 8
 
-_CONFIG_TYPES = {
-    "ExperimentConfig": ExperimentConfig,
-    "MultiNodeConfig": MultiNodeConfig,
-}
-
 
 # ----------------------------------------------------------------------
 # Config / result serialization and fingerprinting
@@ -107,17 +97,18 @@ _CONFIG_TYPES = {
 _PAIR_FIELDS = ("node_overrides", "scenario_params", "policy_params")
 
 
-def config_to_dict(config: AnyConfig) -> Dict[str, Any]:
+#: Type tag of every serialized config (the only config type there is).
+_CONFIG_TYPE = "ExperimentConfig"
+
+
+def config_to_dict(config: ExperimentConfig) -> Dict[str, Any]:
     """A JSON-compatible, type-tagged dict of a config's fields."""
     data = {f.name: getattr(config, f.name) for f in fields(config)}
     for name in _PAIR_FIELDS:
-        if name in data:
-            data[name] = [list(pair) for pair in data[name]]
-    if isinstance(data.get("cluster"), ClusterSpec):
-        data["cluster"] = data["cluster"].to_dict()
-    if isinstance(data.get("failures"), FailureSpec):
-        data["failures"] = data["failures"].to_dict()
-    return {"type": type(config).__name__, "fields": data}
+        data[name] = [list(pair) for pair in data[name]]
+    data["cluster"] = config.cluster.to_dict()
+    data["failures"] = config.failures.to_dict()
+    return {"type": _CONFIG_TYPE, "fields": data}
 
 
 def _untuple(value: Any) -> Any:
@@ -129,9 +120,11 @@ def _untuple(value: Any) -> Any:
     return value
 
 
-def config_from_dict(payload: Dict[str, Any]) -> AnyConfig:
-    """Inverse of :func:`config_to_dict`."""
-    cls = _CONFIG_TYPES[payload["type"]]
+def config_from_dict(payload: Dict[str, Any]) -> ExperimentConfig:
+    """Inverse of :func:`config_to_dict`; any other type tag raises
+    :class:`ValueError` (a cache entry then loads as a miss)."""
+    if payload["type"] != _CONFIG_TYPE:
+        raise ValueError(f"unknown config type {payload['type']!r}")
     data = dict(payload["fields"])
     for name in _PAIR_FIELDS:
         if name in data:
@@ -140,10 +133,10 @@ def config_from_dict(payload: Dict[str, Any]) -> AnyConfig:
         data["cluster"] = ClusterSpec.from_dict(data["cluster"])
     if isinstance(data.get("failures"), dict):
         data["failures"] = FailureSpec.from_dict(data["failures"])
-    return cls(**data)
+    return ExperimentConfig(**data)
 
 
-def config_fingerprint(config: AnyConfig, *, namespace: str = "") -> str:
+def config_fingerprint(config: ExperimentConfig, *, namespace: str = "") -> str:
     """Content-addressed cache key: SHA-256 over the canonical JSON form of
     the config plus the package and cache-schema versions.
 
@@ -227,11 +220,11 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
 
-    def path_for(self, config: AnyConfig) -> Path:
+    def path_for(self, config: ExperimentConfig) -> Path:
         fingerprint = config_fingerprint(config, namespace=self.namespace)
         return self.root / fingerprint[:2] / f"{fingerprint}.json"
 
-    def load(self, config: AnyConfig) -> Optional[ExperimentResult]:
+    def load(self, config: ExperimentConfig) -> Optional[ExperimentResult]:
         """The cached result for ``config``, or ``None`` on a miss."""
         path = self.path_for(config)
         try:
@@ -243,7 +236,7 @@ class ResultCache:
         self.hits += 1
         return result
 
-    def store(self, config: AnyConfig, result: ExperimentResult) -> Path:
+    def store(self, config: ExperimentConfig, result: ExperimentResult) -> Path:
         """Persist ``result`` under ``config``'s fingerprint atomically."""
         path = self.path_for(config)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -435,21 +428,16 @@ def progress_printer(stream: Optional[TextIO] = None) -> ProgressCallback:
     return report
 
 
-def _default_runner(config: AnyConfig) -> Runner:
-    if isinstance(config, MultiNodeConfig):
-        return run_multi_node_experiment
-    return run_experiment
-
-
-def _runner_namespace(runner: Optional[Runner]) -> str:
-    """Cache namespace for a custom runner (empty for the defaults).
+def _runner_namespace(runner: Runner) -> str:
+    """Cache namespace for a custom runner (empty for
+    :func:`~repro.experiments.runner.run_experiment`, named or not).
 
     Runners without a stable qualified name (lambdas, partials) fall back
     to ``repr`` — nondeterministic across processes, which safely degrades
     such caches to per-invocation scope rather than ever serving another
     runner's results.
     """
-    if runner is None:
+    if runner is run_experiment:
         return ""
     module = getattr(runner, "__module__", "?")
     qualname = getattr(runner, "__qualname__", None)
@@ -474,7 +462,7 @@ _CRASH_GRACE_S = 1.0
 _POLL_S = 0.05
 
 
-def _cell_main(index: int, config: AnyConfig, runner: Runner, results) -> None:
+def _cell_main(index: int, config: ExperimentConfig, runner: Runner, results) -> None:
     """Worker process entry: run one experiment, shipping failures back as
     data so the parent can raise a :class:`WorkerError` with full context.
     A worker that never reports (killed, hung) is handled by the parent's
@@ -491,7 +479,7 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     # but is only safe on Linux — macOS deliberately defaults to spawn
     # (fork is unreliable with threads/the ObjC runtime there) and Windows
     # has no fork.  Elsewhere use the platform default, which works because
-    # _cell_main and the runners are picklable top-level callables.
+    # _cell_main and the runner are picklable top-level callables.
     if sys.platform == "linux":
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()  # pragma: no cover - non-Linux
@@ -519,8 +507,7 @@ class _Cell:
     """Parent-side state of one in-flight worker process."""
 
     index: int
-    config: AnyConfig
-    run: Runner
+    config: ExperimentConfig
     process: Any
     started: float
     deadline: Optional[float]
@@ -551,22 +538,25 @@ class _ProcessEngine:
         workers: int,
         cell_timeout: Optional[float],
         stats: EngineStats,
+        runner: Runner,
     ) -> None:
         self.workers = workers
         self.cell_timeout = cell_timeout
         self.stats = stats
+        self.runner = runner
         self.context = _pool_context()
         self.results = self.context.Queue()
         self.waiting: deque = deque()
-        #: Crashed cells awaiting their backoff: (not_before, index, attempt).
-        self.delayed: List[Tuple[float, int, AnyConfig, Runner, int]] = []
+        #: Crashed cells awaiting their backoff:
+        #: (not_before, index, config, attempt).
+        self.delayed: List[Tuple[float, int, ExperimentConfig, int]] = []
         self.running: Dict[int, _Cell] = {}
         #: ``(label, elapsed_s)`` of cells cancelled on deadline.
         self.timed_out: List[Tuple[str, float]] = []
 
     def run(self, pending, finished) -> None:
-        for index, config, run in pending:
-            self.waiting.append((index, config, run, 1))
+        for index, config in pending:
+            self.waiting.append((index, config, 1))
         try:
             while self.waiting or self.delayed or self.running:
                 self._promote_delayed()
@@ -597,9 +587,9 @@ class _ProcessEngine:
 
     def _launch(self) -> None:
         while self.waiting and len(self.running) < self.workers:
-            index, config, run, attempt = self.waiting.popleft()
+            index, config, attempt = self.waiting.popleft()
             process = self.context.Process(
-                target=_cell_main, args=(index, config, run, self.results)
+                target=_cell_main, args=(index, config, self.runner, self.results)
             )
             process.daemon = True
             process.start()
@@ -607,7 +597,6 @@ class _ProcessEngine:
             self.running[index] = _Cell(
                 index=index,
                 config=config,
-                run=run,
                 process=process,
                 started=now,
                 deadline=(
@@ -667,7 +656,7 @@ class _ProcessEngine:
             self.stats.retries += 1
             backoff = _CRASH_BACKOFF_S * 2 ** (cell.attempt - 1)
             self.delayed.append(
-                (now + backoff, cell.index, cell.config, cell.run, cell.attempt + 1)
+                (now + backoff, cell.index, cell.config, cell.attempt + 1)
             )
             return
         raise WorkerError(
@@ -698,7 +687,7 @@ def _terminate(process) -> None:
 
 
 def run_configs(
-    configs: Iterable[AnyConfig],
+    configs: Iterable[ExperimentConfig],
     *,
     jobs: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
@@ -727,11 +716,9 @@ def run_configs(
         entirely; misses are computed and stored.  ``None`` disables
         caching.
     runner:
-        Override the per-config runner (must be a picklable top-level
-        callable when ``jobs > 1``).  Defaults to
-        :func:`~repro.experiments.runner.run_experiment` /
-        :func:`~repro.experiments.runner.run_multi_node_experiment`
-        depending on each config's type.
+        Override the runner of every config (must be a picklable
+        top-level callable when ``jobs > 1``).  Defaults to
+        :func:`~repro.experiments.runner.run_experiment`.
     progress:
         ``callback(done, total, label, cached)`` invoked once per finished
         config (see :func:`progress_printer`).
@@ -762,6 +749,7 @@ def run_configs(
     from repro.experiments.executor import ExecutionContext, get_executor
 
     configs = list(configs)
+    runner = runner or run_experiment
     cell_timeout = _resolve_cell_timeout(cell_timeout)
     backend = get_executor(executor)
     stats = stats if stats is not None else EngineStats()
@@ -778,7 +766,9 @@ def run_configs(
     results: List[Optional[ExperimentResult]] = [None] * len(configs)
     done = 0
 
-    def finished(index: int, config: AnyConfig, result: ExperimentResult, cached: bool) -> None:
+    def finished(
+        index: int, config: ExperimentConfig, result: ExperimentResult, cached: bool
+    ) -> None:
         nonlocal done
         results[index] = result
         done += 1
@@ -789,13 +779,13 @@ def run_configs(
         if progress is not None:
             progress(done, stats.total, config.label(), cached)
 
-    pending: List[Tuple[int, AnyConfig, Runner]] = []
+    pending: List[Tuple[int, ExperimentConfig]] = []
     for index, config in enumerate(configs):
         hit = cache.load(config) if cache is not None else None
         if hit is not None:
             finished(index, config, hit, cached=True)
         else:
-            pending.append((index, config, runner or _default_runner(config)))
+            pending.append((index, config))
 
     try:
         if pending:
@@ -807,6 +797,7 @@ def run_configs(
                     cache=cache,
                     cell_timeout=cell_timeout,
                     stats=stats,
+                    runner=runner,
                 ),
             )
     finally:

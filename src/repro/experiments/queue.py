@@ -55,23 +55,17 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExecutionContext, Executor, FinishedCallback
 from repro.experiments.parallel import (
     QUARANTINE_DIR,
-    AnyConfig,
     ResultCache,
-    Runner,
-    _default_runner,
     _terminate,
     config_fingerprint,
     config_from_dict,
     config_to_dict,
 )
-from repro.experiments.runner import (
-    ExperimentResult,
-    run_experiment,
-    run_multi_node_experiment,
-)
+from repro.experiments.runner import ExperimentResult, run_experiment
 
 __all__ = [
     "CLAIMS_DIR",
@@ -376,26 +370,18 @@ class _LeaseHeartbeat(threading.Thread):
 # ----------------------------------------------------------------------
 # Queue entries
 # ----------------------------------------------------------------------
-def enqueue_config(
-    root: Union[str, Path], config: AnyConfig, *, namespace: str = ""
-) -> str:
+def enqueue_config(root: Union[str, Path], config: ExperimentConfig) -> str:
     """Publish one pending cell; returns its fingerprint.  Idempotent:
     an existing queue entry or done-marker short-circuits."""
     root = Path(root).expanduser()
-    fingerprint = config_fingerprint(config, namespace=namespace)
+    fingerprint = config_fingerprint(config)
     path = _queue_path(root, fingerprint)
     if path.exists() or _done_path(root, fingerprint).exists():
         return fingerprint
     path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write(
         path,
-        json.dumps(
-            {
-                "fingerprint": fingerprint,
-                "namespace": namespace,
-                "config": config_to_dict(config),
-            }
-        ),
+        json.dumps({"fingerprint": fingerprint, "config": config_to_dict(config)}),
     )
     return fingerprint
 
@@ -483,23 +469,23 @@ class WorkerSummary:
         )
 
 
-def _entry_config(path: Path, fingerprint: str) -> Optional[Tuple[AnyConfig, str]]:
+def _entry_config(path: Path, fingerprint: str) -> Optional[ExperimentConfig]:
     """Deserialize one queue entry and verify its fingerprint really is
     the content address of its config under the *current* schema and
-    package version — an entry written by different code can never
-    produce a valid done-marker for this filename, so it is dropped
-    rather than computed."""
+    package version — an entry written by different code (or for
+    another runner's cache namespace) can never produce a valid
+    done-marker for this filename, so it is dropped rather than
+    computed."""
     payload = _read_entry(path)
     if payload is None:
         return None
     try:
-        namespace = str(payload.get("namespace", ""))
         config = config_from_dict(payload["config"])
     except (KeyError, TypeError, ValueError):
         return None
-    if config_fingerprint(config, namespace=namespace) != fingerprint:
+    if config_fingerprint(config) != fingerprint:
         return None
-    return config, namespace
+    return config
 
 
 def run_worker(
@@ -515,8 +501,9 @@ def run_worker(
     """Claim-and-compute loop over a shared cache root's work queue.
 
     Scans ``<cache_dir>/queue/`` for pending cells, claims them one at a
-    time (lease + heartbeat), computes each with the default runner for
-    its config type, stores the result, and removes the queue entry.
+    time (lease + heartbeat), computes each with
+    :func:`~repro.experiments.runner.run_experiment`, stores the result,
+    and removes the queue entry.
     Exits when no claimable work has been visible for ``idle_timeout``
     seconds (``None``/``0``: as soon as one pass over the queue finds
     nothing to claim — every remaining cell done or leased by a live
@@ -536,6 +523,7 @@ def run_worker(
     if poll <= 0:
         raise ValueError(f"poll interval must be positive, got {poll}")
     _sweep_stale_tombstones(root, ttl)
+    cache = ResultCache(root)
     owner = new_owner_id()
     summary = WorkerSummary()
     started = time.monotonic()
@@ -544,7 +532,7 @@ def run_worker(
         while True:
             if max_cells is not None and summary.computed >= max_cells:
                 break
-            if _scan_once(root, owner, ttl, summary, only, progress, max_cells):
+            if _scan_once(cache, owner, ttl, summary, only, progress, max_cells):
                 idle_since = None
                 continue
             if not idle_timeout:
@@ -561,7 +549,7 @@ def run_worker(
 
 
 def _scan_once(
-    root: Path,
+    cache: ResultCache,
     owner: str,
     ttl: float,
     summary: WorkerSummary,
@@ -570,6 +558,7 @@ def _scan_once(
     max_cells: Optional[int],
 ) -> bool:
     """One pass over the queue; True when any progress was made."""
+    root = cache.root
     progressed = False
     for fingerprint in pending_fingerprints(root):
         if only is not None and fingerprint not in only:
@@ -581,15 +570,13 @@ def _scan_once(
             summary.reaped += 1
             progressed = True
             continue
-        entry = _entry_config(_queue_path(root, fingerprint), fingerprint)
-        if entry is None:
+        config = _entry_config(_queue_path(root, fingerprint), fingerprint)
+        if config is None:
             if _queue_path(root, fingerprint).exists():
                 _remove_queue_entry(root, fingerprint)
                 summary.invalid += 1
                 progressed = True
             continue
-        config, namespace = entry
-        cache = ResultCache(root, namespace=namespace)
         if _claim_and_compute(root, fingerprint, config, cache, owner, ttl, progress) is None:
             continue
         summary.computed += 1
@@ -601,7 +588,7 @@ def _scan_once(
 def _claim_and_compute(
     root: Path,
     fingerprint: str,
-    config: AnyConfig,
+    config: ExperimentConfig,
     cache: ResultCache,
     owner: str,
     ttl: float,
@@ -625,7 +612,7 @@ def _claim_and_compute(
     heartbeat = _LeaseHeartbeat(root, fingerprint, owner, ttl)
     heartbeat.start()
     try:
-        result = _default_runner(config)(config)
+        result = run_experiment(config)
         cache.store(config, result)
         _remove_queue_entry(root, fingerprint)
     finally:
@@ -668,8 +655,9 @@ class QueueExecutor(Executor):
     exits as soon as nothing in the sweep is left for it to claim.
 
     Requires a cache directory (the cache root *is* the coordination
-    medium) and the default runners (a custom runner callable cannot be
-    reconstructed by a detached worker process).  Rejects
+    medium) and the default runner,
+    :func:`~repro.experiments.runner.run_experiment` (a custom runner
+    callable cannot be reconstructed by a detached worker process).  Rejects
     ``cell_timeout``: the lease heartbeat keeps a claimed cell alive for
     as long as it runs, so a per-cell deadline cannot be enforced here
     and is refused rather than silently ignored.
@@ -685,7 +673,7 @@ class QueueExecutor(Executor):
 
     def execute(
         self,
-        pending: List[Tuple[int, AnyConfig, Runner]],
+        pending: List[Tuple[int, ExperimentConfig]],
         finished: FinishedCallback,
         context: ExecutionContext,
     ) -> None:
@@ -704,22 +692,20 @@ class QueueExecutor(Executor):
                 "ignored — drop the flag (or unset REPRO_CELL_TIMEOUT), "
                 "or use executor='local'"
             )
-        for _, _, run in pending:
-            if run not in (run_experiment, run_multi_node_experiment):
-                raise ValueError(
-                    "the queue executor supports only the default "
-                    "experiment runners; a custom runner callable cannot "
-                    "be reconstructed by detached workers — use "
-                    "executor='local'"
-                )
+        if context.runner is not run_experiment:
+            raise ValueError(
+                "the queue executor supports only the default "
+                "experiment runners; a custom runner callable cannot "
+                "be reconstructed by detached workers — use "
+                "executor='local'"
+            )
         root = cache.root
-        namespace = cache.namespace
         ttl = _resolve_ttl(self.lease_ttl)
         _sweep_stale_tombstones(root, ttl)
         owner = new_owner_id()
-        remaining: Dict[str, Tuple[int, AnyConfig]] = {}
-        for index, config, _ in pending:
-            fingerprint = enqueue_config(root, config, namespace=namespace)
+        remaining: Dict[str, Tuple[int, ExperimentConfig]] = {}
+        for index, config in pending:
+            fingerprint = enqueue_config(root, config)
             remaining[fingerprint] = (index, config)
         helpers = self._spawn_helpers(context.jobs, root, list(remaining), ttl)
         try:
@@ -736,7 +722,7 @@ class QueueExecutor(Executor):
                             # branch re-enters forever — then put the
                             # cell back in play.
                             _quarantine_done_marker(root, fingerprint)
-                            enqueue_config(root, config, namespace=namespace)
+                            enqueue_config(root, config)
                             progressed = True
                             continue
                         _reap(root, fingerprint)

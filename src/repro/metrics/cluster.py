@@ -53,9 +53,9 @@ class ClusterBreakdown:
     spill_rate:
         Fraction of routed calls the balancer placed off its preferred
         invoker (``0.0`` for balancers without a preference notion, and
-        on the classic single-node path).
+        on the default fleet of one).
     balancer:
-        Balancer flavour name, or ``None`` on the single-node path.
+        Balancer flavour name, or ``None`` on the default fleet of one.
     scale_events:
         ``(sim time, new fleet size)`` pairs recorded by the autoscaler.
     """

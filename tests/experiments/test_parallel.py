@@ -8,7 +8,7 @@ import pytest
 
 import repro
 import repro.experiments.parallel as parallel
-from repro.experiments.config import ExperimentConfig, MultiNodeConfig
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import GridSpec, run_grid
 from repro.experiments.parallel import (
     EngineStats,
@@ -21,8 +21,26 @@ from repro.experiments.parallel import (
     result_from_payload,
     result_to_payload,
     run_configs,
+    verify_cache,
 )
+from repro.experiments.queue import QUEUE_DIR, enqueue_config, run_worker
 from repro.experiments.runner import run_experiment, run_repetitions
+
+#: A config as the removed ``MultiNodeConfig`` type serialized it.
+LEGACY_MULTI_NODE_CONFIG = {
+    "type": "MultiNodeConfig",
+    "fields": {
+        "nodes": 2,
+        "cores_per_node": 4,
+        "total_requests": 10,
+        "policy": "FC",
+        "seed": 1,
+        "memory_mb": 40960,
+        "balancer": "least-loaded",
+        "window_s": 60.0,
+        "node_overrides": [],
+    },
+}
 
 
 def tagging_runner(config):
@@ -152,10 +170,27 @@ class TestFingerprint:
         fingerprints = {config_fingerprint(c) for c in [cfg, *variants]}
         assert len(fingerprints) == len(variants) + 1
 
-    def test_distinguishes_config_types(self):
-        single = ExperimentConfig(cores=4, intensity=10)
-        multi = MultiNodeConfig(nodes=1, cores_per_node=4, total_requests=10)
-        assert config_fingerprint(single) != config_fingerprint(multi)
+    def test_legacy_multi_node_entries_are_refused(self, tmp_path):
+        # Leftover entries of the removed config type neither load nor
+        # run: the cache entry is a miss that `cache verify` reports
+        # corrupt, and a worker drops the queue entry as invalid.
+        cfg = ExperimentConfig(cores=4, intensity=10)
+        cache = ResultCache(tmp_path / "cache")
+        path = cache.store(cfg, run_experiment(cfg))
+        entry = json.loads(path.read_text())
+        entry["result"]["config"] = LEGACY_MULTI_NODE_CONFIG
+        path.write_text(json.dumps(entry))
+        assert cache.load(cfg) is None
+        report = verify_cache(cache.root)
+        assert (report.scanned, report.corrupt) == (1, 1)
+
+        root = tmp_path / "queue"
+        queued = root / QUEUE_DIR / f"{enqueue_config(root, cfg)}.json"
+        entry = json.loads(queued.read_text())
+        entry["config"] = LEGACY_MULTI_NODE_CONFIG
+        queued.write_text(json.dumps(entry))
+        summary = run_worker(root)
+        assert (summary.computed, summary.invalid) == (0, 1)
 
     def test_changes_with_package_version(self, monkeypatch):
         cfg = ExperimentConfig(cores=4, intensity=10)
@@ -184,7 +219,6 @@ class TestFingerprint:
                 cores=4, intensity=10, scenario="skewed",
                 scenario_params={"rare_function": "sleep", "rare_count": 2},
             ),
-            MultiNodeConfig(nodes=2, cores_per_node=4, total_requests=10),
         ):
             assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 

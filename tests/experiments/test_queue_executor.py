@@ -20,6 +20,7 @@ from repro.experiments.parallel import (
     EngineStats,
     ResultCache,
     config_fingerprint,
+    config_to_dict,
     result_to_payload,
     run_configs,
     verify_cache,
@@ -43,6 +44,7 @@ from repro.experiments.queue import (
     steal_lease,
     try_claim,
 )
+from repro.experiments.runner import run_experiment
 
 _MP = multiprocessing.get_context("fork")
 
@@ -110,6 +112,21 @@ class TestQueueExecutor:
             run_configs(
                 [_config()], cache_dir=tmp_path, executor="queue", runner=custom
             )
+
+    def test_default_runner_named_explicitly_shares_the_cache(self, tmp_path):
+        # Naming run_experiment keeps the default cache namespace, which
+        # is the only one queue entries and workers know.
+        stats = EngineStats()
+        run_configs(
+            [_config()],
+            cache_dir=tmp_path,
+            executor="queue",
+            runner=run_experiment,
+            stats=stats,
+        )
+        again = EngineStats()
+        run_configs([_config()], cache_dir=tmp_path, stats=again)
+        assert (stats.computed, again.cached) == (1, 1)
 
     def test_rejects_cell_timeout(self, tmp_path):
         # The lease heartbeat keeps a claimed cell alive indefinitely, so
@@ -299,6 +316,36 @@ class TestQueueEntries:
         summary = run_worker(tmp_path)
         assert summary.computed == 0
         assert summary.invalid == 1
+        assert pending_fingerprints(tmp_path) == []
+
+    def test_entry_of_another_namespace_is_dropped_as_invalid(
+        self, tmp_path, monkeypatch
+    ):
+        # A worker computes with run_experiment only; computing an entry
+        # keyed for a custom runner's cache namespace would serve default
+        # results to that runner's cache.
+        import repro.experiments.queue as queue
+
+        def poisoned(config):
+            raise AssertionError(f"computed {config.label()}")
+
+        monkeypatch.setattr(queue, "run_experiment", poisoned)
+        config = _config()
+        namespace = "tests.custom_runner"
+        fingerprint = config_fingerprint(config, namespace=namespace)
+        path = _queue_path(tmp_path, fingerprint)
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            json.dumps(
+                {
+                    "fingerprint": fingerprint,
+                    "namespace": namespace,
+                    "config": config_to_dict(config),
+                }
+            )
+        )
+        summary = run_worker(tmp_path)
+        assert (summary.computed, summary.invalid) == (0, 1)
         assert pending_fingerprints(tmp_path) == []
 
     def test_corrupt_entry_is_dropped_as_invalid(self, tmp_path):

@@ -1,12 +1,9 @@
 """Integration tests for the experiment runner."""
 
 
-from repro.experiments.config import ExperimentConfig, MultiNodeConfig
-from repro.experiments.runner import (
-    run_experiment,
-    run_multi_node_experiment,
-    run_repetitions,
-)
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.fig6_multinode import fig6_config
+from repro.experiments.runner import run_experiment, run_repetitions
 from repro.workload.generator import requests_for_intensity
 
 
@@ -86,26 +83,18 @@ class TestRepetitions:
 
 class TestMultiNode:
     def test_basic_run(self):
-        cfg = MultiNodeConfig(
-            nodes=2, cores_per_node=4, total_requests=110, policy="FC", seed=1
-        )
-        result = run_multi_node_experiment(cfg)
+        result = run_experiment(fig6_config(2, 4, 110, "FC", seed=1))
         assert len(result.records) == 110
         assert len(result.node_stats) == 2
 
     def test_all_nodes_used(self):
-        cfg = MultiNodeConfig(
-            nodes=3, cores_per_node=4, total_requests=330, policy="FC", seed=1
-        )
-        result = run_multi_node_experiment(cfg)
+        result = run_experiment(fig6_config(3, 4, 330, "FC", seed=1))
         assert len({r.invoker for r in result.records}) == 3
 
     def test_deterministic(self):
-        cfg = MultiNodeConfig(
-            nodes=2, cores_per_node=4, total_requests=110, policy="baseline", seed=5
-        )
-        a = run_multi_node_experiment(cfg)
-        b = run_multi_node_experiment(cfg)
+        cfg = fig6_config(2, 4, 110, "baseline", seed=5)
+        a = run_experiment(cfg)
+        b = run_experiment(cfg)
         assert [r.completed_at for r in a.records] == [
             r.completed_at for r in b.records
         ]

@@ -9,8 +9,9 @@ reproduction no longer reproduces the paper.
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig, MultiNodeConfig
-from repro.experiments.runner import run_experiment, run_multi_node_experiment
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.fig6_multinode import fig6_config
+from repro.experiments.runner import run_experiment
 
 pytestmark = pytest.mark.shape
 
@@ -134,11 +135,7 @@ class TestMultiNodeShape:
     def test_fc_on_3_nodes_beats_baseline_on_4(self):
         # The paper's capacity-reduction headline (Sect. VIII).
         def pooled(nodes, policy):
-            cfg = MultiNodeConfig(
-                nodes=nodes, cores_per_node=18, total_requests=2376,
-                policy=policy, seed=1,
-            )
-            return run_multi_node_experiment(cfg).summary()
+            return run_experiment(fig6_config(nodes, 18, 2376, policy, seed=1)).summary()
 
         base4 = pooled(4, "baseline")
         fc3 = pooled(3, "FC")
