@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # One named smoke scenario of the CI smoke matrix (.github/workflows/ci.yml).
 #
-# Usage: tools/ci_smoke.sh <engine|scenario|policy|cluster|compare|chaos|adaptive>
+# Usage: tools/ci_smoke.sh <engine|scenario|policy|cluster|compare|chaos|adaptive|examples>
 #
 # Each smoke is self-contained (its own cache root), so the matrix can run
 # them on independent runners.  When $GITHUB_STEP_SUMMARY is set, the wall
 # time of the smoke is appended to the job summary.
 set -euo pipefail
 
-smoke="${1:?usage: ci_smoke.sh <engine|scenario|policy|cluster|compare|chaos|adaptive>}"
+smoke="${1:?usage: ci_smoke.sh <engine|scenario|policy|cluster|compare|chaos|adaptive|examples>}"
 cache=".cache-smoke-${smoke}"
 rm -rf "${cache}"
 started=$(date +%s)
@@ -98,6 +98,13 @@ case "${smoke}" in
       | tee adaptive_smoke.out
     grep -q "converged after 5 seeds (10/40 runs, 30 saved)" \
       adaptive_smoke.out
+    ;;
+  examples)
+    # Every example script runs to completion; any non-zero exit fails.
+    for example in examples/*.py; do
+      echo "== ${example}"
+      python "${example}"
+    done
     ;;
   *)
     echo "unknown smoke '${smoke}'" >&2
