@@ -100,9 +100,10 @@ class ReactiveAutoscaler:
         #: (sim time, new fleet size) for every completed scale-out.
         self.scale_events: List[tuple[float, int]] = []
         self._provisioning = 0
-        #: Index of the next scaled-out node, advanced once per provision:
-        #: concurrent provisions and crashed roster nodes shrink the live
-        #: list, so its length cannot name new nodes uniquely.
+        #: Index of the next scaled-out node, advanced once per provision.
+        #: The live list's length cannot name nodes uniquely: concurrent
+        #: provisions read it before either node joins, and crashed
+        #: roster nodes leave it.
         self._next_index = len(invokers)
         self._stopped = False
         self._process = env.process(self._control_loop())
