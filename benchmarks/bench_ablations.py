@@ -1,4 +1,4 @@
-"""Bench: ablation studies for the design choices (extensions; DESIGN.md §7).
+"""Bench: ablation studies for the design choices (extensions).
 
 * estimator window — SEPT is robust to the window size once > 1;
 * busy-limit — re-introducing oversubscription does not help;

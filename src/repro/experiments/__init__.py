@@ -1,6 +1,6 @@
 """Experiment harness: configuration, runner, parallel execution engine,
-and one module per paper artifact (tables and figures).  See DESIGN.md §4
-for the full index.
+and one module per paper artifact (tables and figures).  README.md's
+paper-artifact matrix is the full index.
 """
 
 from repro.experiments.adaptive import (

@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for the invoker's design choices.
 
 These go beyond the paper's artifacts; each isolates one mechanism:
 

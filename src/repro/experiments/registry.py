@@ -1,4 +1,4 @@
-"""Experiment registry: one entry per paper artifact (see DESIGN.md §4).
+"""Experiment registry: one entry per paper artifact (README.md's matrix).
 
 Each entry maps an experiment id to a callable
 ``run(quick: bool, engine: EngineOptions, workload: WorkloadSelection,

@@ -2,8 +2,8 @@
 
 Every mechanism the simulation models is controlled from here; the
 defaults are calibrated so that the reproduction matches the *shapes* of
-the paper's results (see DESIGN.md §5 and EXPERIMENTS.md).  The key
-empirical anchors from the paper are:
+the paper's results (the qualitative claims in tests/test_shapes.py).
+The key empirical anchors from the paper are:
 
 * under saturation, our-invoker throughput is pinned by container
   management, not CPU: the published FIFO makespans imply a near-constant

@@ -21,7 +21,7 @@ from repro.node.pool import ContainerPool
 from repro.scheduling.policies import SchedulingPolicy
 from repro.scheduling.queue import StablePriorityQueue
 from repro.scheduling.registry import build_policy
-from repro.sim.cpu import SharedCPU, linear_overhead_efficiency
+from repro.sim.cpu import DedicatedCPU, SharedCPU, linear_overhead_efficiency
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,9 +98,16 @@ class Invoker:
         self.env = env
         self.config = config
         self.name = name
-        self.cpu = SharedCPU(
-            env, config.cores, efficiency=linear_overhead_efficiency(config.kappa)
-        )
+        # At most ``cores`` busy containers means one core per call: the
+        # dedicated bank.  The busy-limit ablation oversubscribes, so it
+        # needs processor sharing and the overhead model.
+        self.cpu: "DedicatedCPU | SharedCPU"
+        if config.effective_busy_limit <= config.cores:
+            self.cpu = DedicatedCPU(env, config.cores)
+        else:
+            self.cpu = SharedCPU(
+                env, config.cores, efficiency=linear_overhead_efficiency(config.kappa)
+            )
         self.daemon = DockerDaemon(env, config)
         self.memory = MemoryPool(config.memory_mb)
         self.pool = ContainerPool(env, config, self.daemon, self.memory)

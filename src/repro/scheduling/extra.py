@@ -1,4 +1,4 @@
-"""Extension policies beyond the paper's five (DESIGN.md §7).
+"""Extension policies beyond the paper's five (docs/POLICIES.md, Extensions).
 
 These are **not** part of the reproduction proper; they bound and
 contextualise the paper's results.  All three are registered in the

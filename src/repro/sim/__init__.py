@@ -15,7 +15,9 @@ must not depend on packages outside the allowed set.  It provides:
   :class:`~repro.sim.resources.Store`,
   :class:`~repro.sim.resources.PriorityStore` — queued resources;
 * :class:`~repro.sim.cpu.SharedCPU` — a malleable processor-sharing CPU bank
-  used to model OS-level scheduling of containers on a worker node;
+  used to model OS-level scheduling of containers on a worker node, and
+  :class:`~repro.sim.cpu.DedicatedCPU` — the same bank restricted to one
+  task per core, for the paper's invoker;
 * :class:`~repro.sim.rng.RngRegistry` — named, independently seeded random
   streams for reproducible experiments.
 """
@@ -31,7 +33,7 @@ from repro.sim.resources import (
     StorePutEvent,
     StoreGetEvent,
 )
-from repro.sim.cpu import CpuTask, SharedCPU, linear_overhead_efficiency
+from repro.sim.cpu import CpuTask, DedicatedCPU, SharedCPU, linear_overhead_efficiency
 from repro.sim.rng import RngRegistry
 from repro.sim.waterfill import waterfill_rates
 
@@ -39,6 +41,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "CpuTask",
+    "DedicatedCPU",
     "Environment",
     "Event",
     "Interrupt",

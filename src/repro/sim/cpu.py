@@ -1,7 +1,8 @@
-"""A malleable, processor-sharing CPU bank.
+"""CPU banks: a malleable processor-sharing bank and a dedicated-core bank.
 
-Models a multi-core worker node on which an arbitrary number of tasks
-(container workloads) execute concurrently.  Each task carries
+:class:`SharedCPU` models a multi-core worker node on which an arbitrary
+number of tasks (container workloads) execute concurrently.  Each task
+carries
 
 * ``work`` — demand in core-seconds,
 * ``weight`` — its fair-share weight (Linux CFS ``cpu.shares`` analogue;
@@ -47,6 +48,16 @@ regimes cheap:
 * a :class:`~repro.sim.core.ReusableTimer` wake-up — re-arming tombstones
   the superseded calendar entry instead of leaving a stale ``Timeout`` to
   fire inertly.
+
+:class:`DedicatedCPU` serves the paper's invoker, which never runs more
+than ``cores`` tasks and gives each exactly one core.  That is
+``SharedCPU``'s all-at-cap scalar path, and the dedicated bank reproduces
+it step for step: the same ``work -= 1.0 * elapsed`` chain, the same
+delivered/idle sums, the same completion order, and the same wake-up
+arm/cancel calls at the same simulated moments, so results and calendar
+sequence numbers are identical.  It keeps only a list of remaining works;
+water-filling, the efficiency model, the exact-sum caches and the
+rate/weight/cap columns are gone.  A task that would share a core raises.
 """
 
 from __future__ import annotations
@@ -62,7 +73,7 @@ from repro.sim.waterfill import waterfill_rates
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
 
-__all__ = ["CpuTask", "SharedCPU", "linear_overhead_efficiency"]
+__all__ = ["CpuTask", "DedicatedCPU", "DedicatedTask", "SharedCPU", "linear_overhead_efficiency"]
 
 #: Remaining work below this threshold counts as finished (core-seconds).
 _EPS = 1e-9
@@ -771,3 +782,139 @@ class SharedCPU:
     def _on_wake(self) -> None:
         self._advance()
         self._rebalance_and_arm()
+
+
+class DedicatedTask:
+    """A unit of CPU demand holding one core of a :class:`DedicatedCPU`.
+
+    ``event`` triggers (with the task) when the work completes.
+    """
+
+    __slots__ = ("event", "label")
+
+    def __init__(self, event: Event, label: str) -> None:
+        self.event = event
+        self.label = label
+
+
+class DedicatedCPU:
+    """A bank of ``cores`` CPU cores, each running at most one task.
+
+    Every task runs at rate 1.0 from submission to completion, so the bank
+    is :class:`SharedCPU` restricted to its all-at-cap regime, with the
+    same results (see the module docstring).  The restriction is checked:
+    a task beyond ``cores`` live ones, or asking for ``max_rate != 1.0``,
+    raises.
+    """
+
+    def __init__(self, env: "Environment", cores: int) -> None:
+        if cores < 1:
+            raise ValueError(f"cores must be >= 1, got {cores!r}")
+        self.env = env
+        self.cores = int(cores)
+        #: Remaining work of each live task, and the task, in insertion order.
+        self._works: List[float] = []
+        self._tasks: List[DedicatedTask] = []
+        self._last_update = env.now
+        #: Simulation time the bank came into existence (utilization basis).
+        self.created_at = env.now
+        self._wake_timer = env.timer(self._on_wake)
+        #: core-seconds of useful work delivered so far.
+        self.delivered_work = 0.0
+        #: integral of idle cores over time, in core-seconds.
+        self.idle_core_seconds = 0.0
+        #: peak number of concurrently active tasks.
+        self.peak_tasks = 0
+
+    @property
+    def active_tasks(self) -> int:
+        return len(self._tasks)
+
+    def utilization(self) -> float:
+        """Average fraction of the bank's cores kept busy since the bank
+        was created."""
+        horizon = self.env.now - self.created_at
+        if horizon <= 0:
+            return 0.0
+        return self.delivered_work / (self.cores * horizon)
+
+    def execute(
+        self,
+        work: float,
+        weight: float = 1.0,
+        max_rate: float = 1.0,
+        label: str = "",
+    ) -> DedicatedTask:
+        """Submit *work* core-seconds on a core of its own; returns the
+        task (``task.event`` fires on completion).  *weight* is accepted
+        for :class:`SharedCPU` compatibility and has no effect."""
+        if work < 0:
+            raise ValueError(f"work must be non-negative, got {work!r}")
+        if weight <= 0:
+            raise ValueError(f"weight must be positive, got {weight!r}")
+        if max_rate <= 0:
+            raise ValueError(f"max_rate must be positive, got {max_rate!r}")
+        if max_rate != 1.0:
+            raise ValueError(
+                f"a dedicated core runs tasks at rate 1.0, got max_rate={max_rate!r}"
+            )
+        work = float(work)
+        tasks = self._tasks
+        if work > _EPS and len(tasks) >= self.cores:
+            raise RuntimeError(
+                f"task {label!r} would be live task {len(tasks) + 1} "
+                f"on {self.cores} dedicated cores"
+            )
+        task = DedicatedTask(Event(self.env), label)
+        self._advance()
+        if work <= _EPS:
+            task.event.succeed(task)
+        else:
+            self._works.append(work)
+            tasks.append(task)
+            n = len(tasks)
+            if n > self.peak_tasks:
+                self.peak_tasks = n
+        self._settle()
+        return task
+
+    def _advance(self) -> None:
+        """Account for work done since the last update: every live task
+        ran on one core (``1.0 * elapsed`` is exactly ``elapsed``)."""
+        now = self.env._now
+        elapsed = now - self._last_update
+        if elapsed > 0.0:
+            works = self._works
+            n = len(works)
+            if n:
+                self._works = [w - elapsed for w in works]
+            self.delivered_work += n * elapsed
+            self.idle_core_seconds += (self.cores - n) * elapsed
+        self._last_update = now
+
+    def _settle(self) -> None:
+        """Complete tasks at or below the finish threshold (insertion
+        order), then re-arm the wake-up at the earliest completion."""
+        works = self._works
+        if not works:
+            self._wake_timer.cancel()
+            return
+        soonest = min(works)
+        if soonest <= _EPS:
+            tasks = self._tasks
+            done = [i for i, w in enumerate(works) if w <= _EPS]
+            for i in done:
+                task = tasks[i]
+                task.event.succeed(task)
+            for i in reversed(done):
+                del works[i]
+                del tasks[i]
+            if not works:
+                self._wake_timer.cancel()
+                return
+            soonest = min(works)
+        self._wake_timer.arm(soonest)
+
+    def _on_wake(self) -> None:
+        self._advance()
+        self._settle()

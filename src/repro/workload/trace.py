@@ -1,4 +1,4 @@
-"""Synthetic trace workloads (extension; DESIGN.md §7).
+"""Synthetic trace workloads (extension; docs/SCENARIOS.md, ``trace``).
 
 The paper motivates overload handling with the Azure Functions trace
 (Shahrad et al., ATC'20): request rates are uneven with short peaks, and

@@ -4,6 +4,7 @@ import pytest
 
 from repro.node.config import NodeConfig
 from repro.node.invoker import Invoker
+from repro.sim.cpu import DedicatedCPU, SharedCPU
 from repro.workload.functions import sebs_catalog
 
 from tests.node.conftest import make_request
@@ -82,6 +83,13 @@ class TestBasicExecution:
         # 1-core tasks, busy <= cores: the bank never holds more tasks than
         # cores (the paper's no-preemption guarantee).
         assert invoker.cpu.peak_tasks <= config.cores
+
+    def test_default_invoker_gets_dedicated_cores(self, env, config):
+        # The dedicated bank raises on a task beyond ``cores``, so the
+        # no-oversubscription guarantee is checked on every submission.
+        assert isinstance(Invoker(env, config).cpu, DedicatedCPU)
+        at_cores = NodeConfig(cores=config.cores, busy_limit=config.cores)
+        assert isinstance(Invoker(env, at_cores).cpu, DedicatedCPU)
 
     def test_cold_start_when_not_warmed(self, env, config, catalog):
         invoker = Invoker(env, config, policy="FIFO")  # no warm_up
@@ -198,6 +206,7 @@ class TestBusyLimitAblation:
             system_cpu_coeff_s=0.0, pause_grace_s=0.5,
         )
         invoker = Invoker(env, config, policy="FIFO")
+        assert isinstance(invoker.cpu, SharedCPU)
         invoker.warm_up(sebs_catalog())
         requests = [
             make_request(catalog, name="graph-bfs", rid=i, service=1.0)

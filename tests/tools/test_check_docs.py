@@ -1,4 +1,5 @@
-"""tools/check_docs.py: every catalog page in docs/ matches the code."""
+"""tools/check_docs.py: every catalog page in docs/ matches the code, and
+every cited Markdown file exists."""
 
 import shutil
 import sys
@@ -11,6 +12,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent.parent / "tools"))
 import check_docs  # noqa: E402
 
 CATALOGS = {catalog.doc: catalog for catalog in check_docs.CATALOGS}
+
+#: The tail of every dangling-citation error.
+UNRESOLVED = "which matches no file in the repository"
 
 
 @pytest.fixture
@@ -43,7 +47,8 @@ def test_repository_docs_pass(capsys):
     assert check_docs.main() == 0
     out = capsys.readouterr()
     assert out.err == ""
-    assert len(out.out.splitlines()) == len(CATALOGS)
+    # One line per catalog, plus the citation summary.
+    assert len(out.out.splitlines()) == len(CATALOGS) + 1
 
 
 @pytest.mark.parametrize("doc", sorted(CATALOGS))
@@ -97,8 +102,56 @@ def test_every_failure_is_reported(docs_copy, capsys):
         f"error: {docs_copy / 'COMPARISONS.md'} does not exist",
         f"error: docs/FAILURES.md documents unknown field(s): {added}",
     ]
-    # The catalogs still in sync are checked and reported too.
+    # The checks still passing are run and reported too.
     assert [line.split()[0] for line in out.out.splitlines()] == [
         "docs/POLICIES.md",
         "docs/DISTRIBUTED.md",
+        "all",
     ]
+
+
+@pytest.fixture
+def cited_tree(tmp_path):
+    """A small repository: sources and docs citing Markdown files."""
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "docs" / "GUIDE.md").write_text("See ../README.md.\n", encoding="utf-8")
+    (tmp_path / "tools" / "NOTES.md").write_text("notes\n", encoding="utf-8")
+    (tmp_path / "README.md").write_text(
+        "Read [the guide](docs/GUIDE.md) and tools/NOTES.md.\n", encoding="utf-8"
+    )
+    (tmp_path / "src" / "pkg" / "mod.py").write_text('"""See GUIDE.md."""\n', encoding="utf-8")
+    (tmp_path / "benchmarks" / "b.py").write_text('"""docs/GUIDE.md"""\n', encoding="utf-8")
+    return tmp_path
+
+
+def test_resolving_citations_pass(cited_tree):
+    problems, summary = check_docs.check_citations(cited_tree)
+    assert problems == []
+    where = "src/, benchmarks/, docs/, README.md"
+    assert summary == f"all 5 Markdown citations in {where} resolve"
+
+
+def test_dangling_citation_fails_and_names_the_file(cited_tree, capsys):
+    module = cited_tree / "src" / "pkg" / "mod.py"
+    module.write_text('"""Module (see GUIDE.md and DESIGN.md §4)."""\n', encoding="utf-8")
+    (cited_tree / "docs" / "GUIDE.md").write_text("See docs/GONE.md.\n", encoding="utf-8")
+    problems, _ = check_docs.check_citations(cited_tree)
+    assert problems == [
+        f"src/pkg/mod.py:1 cites DESIGN.md, {UNRESOLVED}",
+        f"docs/GUIDE.md:1 cites docs/GONE.md, {UNRESOLVED}",
+    ]
+    assert check_docs.main(root=cited_tree) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {problem}" for problem in problems]
+
+
+def test_hidden_directories_neither_cite_nor_resolve(cited_tree):
+    hidden = cited_tree / "docs" / ".cache"
+    hidden.mkdir()
+    (hidden / "DESIGN.md").write_text("cites NOWHERE.md\n", encoding="utf-8")
+    (cited_tree / "src" / "pkg" / "mod.py").write_text('"""DESIGN.md"""\n', encoding="utf-8")
+    problems, _ = check_docs.check_citations(cited_tree)
+    assert problems == [f"src/pkg/mod.py:1 cites DESIGN.md, {UNRESOLVED}"]

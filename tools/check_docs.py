@@ -11,8 +11,13 @@ headings list what the code defines, and checks it in both directions:
 A row may also name things that must be mentioned somewhere in the
 page's text (docs/DISTRIBUTED.md: every ``worker`` / ``cache`` CLI flag
 and the ``REPRO_EXECUTOR`` / ``REPRO_LEASE_TTL`` environment variables).
-Every catalog is checked and every failure reported; the exit status is
-1 if any failed.
+
+Separately, every ``*.md`` file cited in the sources and docs
+(:data:`CITING`) must match a Markdown file in the repository, so no
+docstring or page points at a document that does not exist.
+
+Every check runs and every failure is reported; the exit status is 1 if
+any failed.
 
 Run from the repository root (CI's docs job does)::
 
@@ -37,6 +42,13 @@ HEADING = re.compile(r"^##\s+`(?P<name>[^`]+)`", re.MULTILINE)
 
 #: Flags that need no documentation.
 IGNORED_FLAGS = {"-h", "--help"}
+
+#: Files and directories (relative to the repository root) whose ``*.py``
+#: and ``*.md`` files may cite Markdown documents.
+CITING = ("src", "benchmarks", "docs", "README.md")
+
+#: A cited Markdown file: a path-like token ending in ``.md``.
+CITATION = re.compile(r"[\w./-]*\w\.md\b")
 
 Parser = argparse.ArgumentParser
 
@@ -193,12 +205,53 @@ def check(catalog: Catalog, docs_dir: Path) -> Tuple[List[str], str]:
     return problems, f"{label} covers all " + ", ".join(covered)
 
 
-def main(docs_dir: Path = DOCS_DIR) -> int:
-    """Check every catalog under ``docs_dir``; 0 when all are in sync."""
+def _visible_files(root: Path, pattern: str) -> List[Path]:
+    """Files under *root* matching *pattern*, outside hidden directories."""
+    return sorted(
+        path
+        for path in root.rglob(pattern)
+        if not any(part.startswith(".") for part in path.relative_to(root).parts[:-1])
+    )
+
+
+def check_citations(root: Path) -> Tuple[List[str], str]:
+    """``(problems, summary)`` for the Markdown citations under *root*:
+    a citation resolves when some ``*.md`` file's path relative to *root*
+    equals it or ends with ``/`` plus it (``FAILURES.md`` and
+    ``docs/FAILURES.md`` both resolve to docs/FAILURES.md)."""
+    known = {path.relative_to(root).as_posix() for path in _visible_files(root, "*.md")}
+    citing: List[Path] = []
+    for name in CITING:
+        path = root / name
+        if path.is_dir():
+            citing += _visible_files(path, "*.py") + _visible_files(path, "*.md")
+        elif path.exists():
+            citing.append(path)
+    problems = []
+    count = 0
+    for path in citing:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            for cited in CITATION.findall(line):
+                count += 1
+                target = re.sub(r"^(\.\.?/)+", "", cited)
+                if not any(k == target or k.endswith("/" + target) for k in known):
+                    problems.append(
+                        f"{path.relative_to(root).as_posix()}:{lineno} cites "
+                        f"{cited}, which matches no file in the repository"
+                    )
+    where = ", ".join(name + ("/" if (root / name).is_dir() else "") for name in CITING)
+    return problems, f"all {count} Markdown citations in {where} resolve"
+
+
+def main(docs_dir: Path = DOCS_DIR, root: Path = REPO_ROOT) -> int:
+    """Check every catalog under ``docs_dir`` and the Markdown citations
+    under ``root``; 0 when all are in sync."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     status = 0
-    for catalog in CATALOGS:
-        problems, summary = check(catalog, docs_dir)
+    results = [check(catalog, docs_dir) for catalog in CATALOGS]
+    results.append(check_citations(root))
+    for problems, summary in results:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         if problems:
