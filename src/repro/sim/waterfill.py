@@ -1,17 +1,12 @@
-"""Reference capped water-filling allocator.
+"""Capped water-filling, the allocator of :class:`~repro.sim.cpu.SharedCPU`.
 
-This is the brute-force O(rounds · n) allocator the original
-:class:`~repro.sim.cpu.SharedCPU` ran on every membership change, lifted
-out verbatim as a pure function over parallel lists.  It serves two roles:
-
-* **Oracle** — the incremental/vectorized allocator inside ``SharedCPU``
-  must reproduce this function's output *exactly* (same IEEE-754 results,
-  not just approximately); the property tests in
-  ``tests/sim/test_waterfill_properties.py`` enforce that on randomized
-  populations.
-* **Small-population fast path** — for a handful of tasks the plain Python
-  rounds beat NumPy's per-call overhead, so ``SharedCPU`` calls this
-  function directly in scalar mode.
+A pure function over parallel lists, lifted out verbatim from the original
+bank.  ``SharedCPU`` calls it on every membership change with its live
+tasks' weights and caps in insertion order and keeps the returned rates as
+they are, so this one function is the allocator.  The property tests in
+``tests/sim/test_waterfill_properties.py`` check, under randomized churn,
+that the bank's rates equal its output for the live population and the
+bank's capacity *exactly* (same IEEE-754 results, not just approximately).
 
 Floating-point order contract: every reduction is a sequential left-fold
 in *input order*.  Callers that need historical reproducibility must pass

@@ -6,8 +6,8 @@ oversubscription stresses and six fleet topologies) must produce
 balancer diagnostics — to the goldens captured in
 ``tests/data/golden_kernel_fingerprints.json``, both serially and through
 the parallel execution engine.  The goldens were captured from the
-pre-optimization kernel, so this suite is the proof that the incremental
-water-filling / ETA-heap / cancellable-calendar rewrite changed *nothing*
+pre-optimization kernel, so this suite is the proof that the kernel's
+rewrites (the cancellable calendar, the CPU banks) changed *nothing*
 about simulated behaviour.  See ``tools/golden_fingerprints.py`` for the
 capture protocol and the (narrow, documented) ``cpu_utilization``
 tolerance.

@@ -171,35 +171,3 @@ class TestAccounting:
             1, [(0.0, 5.0, 1.0, 1.0), (1.0, 5.0, 1.0, 1.0), (2.0, 5.0, 1.0, 1.0)]
         )
         assert cpu.peak_tasks == 3
-
-    def test_cancel_releases_capacity(self):
-        env = Environment()
-        cpu = SharedCPU(env, 1)
-        results = {}
-
-        def victim(env):
-            task = cpu.execute(100.0)
-            try:
-                yield task.event
-            except RuntimeError:
-                results["victim"] = ("cancelled", env.now)
-            return None
-
-        def other(env):
-            task = cpu.execute(4.0)
-            yield task.event
-            results["other"] = env.now
-
-        def canceller(env):
-            yield env.timeout(2.0)
-            # victim's task is the long one
-            victim_task = next(t for t in cpu._tasks if t.work > 50)
-            cpu.cancel(victim_task)
-
-        env.process(victim(env))
-        env.process(other(env))
-        env.process(canceller(env))
-        env.run()
-        assert results["victim"] == ("cancelled", 2.0)
-        # other: 2s at rate .5 (1 core-s done), then full rate for 3 -> t=5.
-        assert results["other"] == pytest.approx(5.0)

@@ -93,7 +93,7 @@ class TestMatchesSharedCPU:
         assert len(actual["completions"]) == cores * 30
 
     def test_wide_bank_identical(self):
-        # 48 cores: SharedCPU switches to its NumPy vector mode at 40 tasks.
+        # 48 cores: 40 or more live tasks at once, each on a core of its own.
         streams = make_streams(99, 48, tasks_per_worker=10)
         expected = drive(oracle(Environment(), 48), streams)
         actual = drive(DedicatedCPU(Environment(), 48), streams)

@@ -1,5 +1,6 @@
-"""tools/check_docs.py: every catalog page in docs/ matches the code, and
-every cited Markdown file exists."""
+"""tools/check_docs.py: every catalog page in docs/ matches the code,
+every cited Markdown file exists, and README's CI facts match the CI
+workflow."""
 
 import shutil
 import sys
@@ -47,8 +48,8 @@ def test_repository_docs_pass(capsys):
     assert check_docs.main() == 0
     out = capsys.readouterr()
     assert out.err == ""
-    # One line per catalog, plus the citation summary.
-    assert len(out.out.splitlines()) == len(CATALOGS) + 1
+    # One line per catalog, plus the citation and CI-facts summaries.
+    assert len(out.out.splitlines()) == len(CATALOGS) + 2
 
 
 @pytest.mark.parametrize("doc", sorted(CATALOGS))
@@ -107,6 +108,7 @@ def test_every_failure_is_reported(docs_copy, capsys):
         "docs/POLICIES.md",
         "docs/DISTRIBUTED.md",
         "all",
+        "README.md's",
     ]
 
 
@@ -120,7 +122,22 @@ def cited_tree(tmp_path):
     (tmp_path / "docs" / "GUIDE.md").write_text("See ../README.md.\n", encoding="utf-8")
     (tmp_path / "tools" / "NOTES.md").write_text("notes\n", encoding="utf-8")
     (tmp_path / "README.md").write_text(
-        "Read [the guide](docs/GUIDE.md) and tools/NOTES.md.\n", encoding="utf-8"
+        "Read [the guide](docs/GUIDE.md) and tools/NOTES.md.\n\n"
+        "CI (.github/workflows/ci.yml) tests Python 3.12–3.12, runs a one-way\n"
+        "smoke matrix (engine) and checks perfbench's cell-fc digests.\n",
+        encoding="utf-8",
+    )
+    workflow = tmp_path / check_docs.WORKFLOW
+    workflow.parent.mkdir(parents=True)
+    workflow.write_text(
+        "jobs:\n"
+        "  tests:\n"
+        '    python-version: ["3.12"]\n'
+        "  smoke:\n"
+        "    smoke: [engine]\n"
+        "  perfbench-outputs:\n"
+        "    workload: [cell-fc]\n",
+        encoding="utf-8",
     )
     (tmp_path / "src" / "pkg" / "mod.py").write_text('"""See GUIDE.md."""\n', encoding="utf-8")
     (tmp_path / "benchmarks" / "b.py").write_text('"""docs/GUIDE.md"""\n', encoding="utf-8")
@@ -155,3 +172,58 @@ def test_hidden_directories_neither_cite_nor_resolve(cited_tree):
     (cited_tree / "src" / "pkg" / "mod.py").write_text('"""DESIGN.md"""\n', encoding="utf-8")
     problems, _ = check_docs.check_citations(cited_tree)
     assert problems == [f"src/pkg/mod.py:1 cites DESIGN.md, {UNRESOLVED}"]
+
+
+@pytest.fixture
+def repo_copy(tmp_path):
+    """README.md, docs/ and the CI workflow, copied: a tree that passes."""
+    shutil.copy(check_docs.REPO_ROOT / "README.md", tmp_path)
+    shutil.copytree(check_docs.DOCS_DIR, tmp_path / "docs")
+    workflow = tmp_path / check_docs.WORKFLOW
+    workflow.parent.mkdir(parents=True)
+    shutil.copy(check_docs.REPO_ROOT / check_docs.WORKFLOW, workflow)
+    return tmp_path
+
+
+def edit_first(path, old, new):
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+
+
+def assert_only_ci_error(tree, error, capsys):
+    assert check_docs.check_ci_facts(tree)[0] == [error]
+    assert check_docs.main(tree / "docs", tree) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_repository_ci_facts_pass(repo_copy):
+    problems, summary = check_docs.check_ci_facts(check_docs.REPO_ROOT)
+    assert problems == []
+    assert summary.startswith("README.md's CI facts match .github/workflows/ci.yml")
+    assert check_docs.check_ci_facts(repo_copy) == (problems, summary)
+
+
+def test_untested_python_version_fails(repo_copy, capsys):
+    # The tests job's matrix is the workflow's first python-version list.
+    edit_first(repo_copy / check_docs.WORKFLOW, '"3.13"]', '"3.13", "3.14"]')
+    error = "README.md states Python 3.10–3.13, but the tests job runs 3.10–3.14"
+    assert_only_ci_error(repo_copy, error, capsys)
+
+
+def test_dropped_smoke_entry_fails(repo_copy, capsys):
+    edit_first(repo_copy / check_docs.WORKFLOW, "adaptive, examples]", "adaptive]")
+    error = "README.md states 'eight-way smoke matrix', but the smoke job has 7 entries"
+    assert_only_ci_error(repo_copy, error, capsys)
+
+
+def test_unnamed_perfbench_workload_fails(repo_copy, capsys):
+    edit_first(repo_copy / check_docs.WORKFLOW, "sweep-local]", "sweep-local, sweep-queue]")
+    error = "perfbench-outputs workloads missing from README.md's CI paragraph: sweep-queue"
+    assert_only_ci_error(repo_copy, error, capsys)
+
+
+def test_missing_workflow_fails(cited_tree):
+    (cited_tree / check_docs.WORKFLOW).unlink()
+    problems, _ = check_docs.check_ci_facts(cited_tree)
+    assert problems == [f"{cited_tree / check_docs.WORKFLOW} does not exist"]

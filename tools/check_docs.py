@@ -16,6 +16,13 @@ Separately, every ``*.md`` file cited in the sources and docs
 (:data:`CITING`) must match a Markdown file in the repository, so no
 docstring or page points at a document that does not exist.
 
+Last, README.md's CI paragraph (the one citing :data:`WORKFLOW`) must
+agree with the workflow: its ``Python X–Y`` range is the ``tests`` job's
+first and last ``python-version``, its ``<N>-way smoke matrix`` has as
+many entries as the ``smoke`` job, and it names every ``smoke`` entry and
+every ``perfbench-outputs`` workload.  The workflow's one-line matrix
+lists are read with regular expressions, so no YAML parser is needed.
+
 Every check runs and every failure is reported; the exit status is 1 if
 any failed.
 
@@ -49,6 +56,17 @@ CITING = ("src", "benchmarks", "docs", "README.md")
 
 #: A cited Markdown file: a path-like token ending in ``.md``.
 CITATION = re.compile(r"[\w./-]*\w\.md\b")
+
+#: The CI workflow whose facts README.md restates, relative to the root.
+WORKFLOW = Path(".github") / "workflows" / "ci.yml"
+
+#: A workflow key at two-space indentation (a job) and its indented body.
+JOB = re.compile(r"^  (?P<name>[\w-]+):\n(?P<body>(?:(?: {4}.*)?\n)*)", re.MULTILINE)
+
+#: README's CI facts: the tested Python range and the smoke-matrix size.
+PYTHON_RANGE = re.compile(r"Python (\d+\.\d+)[–-](\d+\.\d+)")
+SMOKE_SIZE = re.compile(r"\b(\w+)-way smoke matrix")
+NUMBER_WORDS = "zero one two three four five six seven eight nine ten eleven twelve".split()
 
 Parser = argparse.ArgumentParser
 
@@ -244,13 +262,68 @@ def check_citations(root: Path) -> Tuple[List[str], str]:
     return problems, f"all {count} Markdown citations in {where} resolve"
 
 
+def _matrix(jobs: Dict[str, str], job: str, key: str) -> List[str]:
+    """Entries of the one-line list ``key: [a, "b", ...]`` in *job*'s body."""
+    match = re.search(rf"^ +{key}: \[(.*)\]$", jobs.get(job, ""), re.MULTILINE)
+    return [entry.strip().strip("\"'") for entry in match[1].split(",")] if match else []
+
+
+def _size(word: str) -> int:
+    """``8`` or ``eight`` as a number (-1 when it is neither)."""
+    if word.isdigit():
+        return int(word)
+    return NUMBER_WORDS.index(word.lower()) if word.lower() in NUMBER_WORDS else -1
+
+
+def check_ci_facts(root: Path) -> Tuple[List[str], str]:
+    """``(problems, summary)`` for the CI facts that README.md's paragraph
+    citing :data:`WORKFLOW` states about that workflow under *root*."""
+    readme, workflow = root / "README.md", root / WORKFLOW
+    absent = [path for path in (readme, workflow) if not path.exists()]
+    if absent:
+        return [f"{path} does not exist" for path in absent], ""
+    ci = WORKFLOW.as_posix()
+    jobs = {m["name"]: m["body"] for m in JOB.finditer(workflow.read_text(encoding="utf-8"))}
+    pythons = _matrix(jobs, "tests", "python-version")
+    smokes = _matrix(jobs, "smoke", "smoke")
+    workloads = _matrix(jobs, "perfbench-outputs", "workload")
+    if not (pythons and smokes and workloads):
+        lists = "tests python-version, smoke smoke, perfbench-outputs workload"
+        return [f"{ci} lacks a one-line matrix list ({lists})"], ""
+    paragraphs = readme.read_text(encoding="utf-8").split("\n\n")
+    cited = [" ".join(p.split()) for p in paragraphs if ci in p]
+    if not cited:
+        return [f"README.md has no paragraph citing {ci}"], ""
+    text = cited[0]
+    problems = []
+    tested = f"{pythons[0]}–{pythons[-1]}"
+    stated = [f"{low}–{high}" for low, high in PYTHON_RANGE.findall(text)]
+    if stated != [tested]:
+        claim = f"Python {', '.join(stated)}" if stated else "no Python range"
+        problems.append(f"README.md states {claim}, but the tests job runs {tested}")
+    sizes = SMOKE_SIZE.findall(text)
+    if [_size(word) for word in sizes] != [len(smokes)]:
+        claim = f"'{', '.join(sizes)}-way smoke matrix'" if sizes else "no smoke-matrix size"
+        problems.append(f"README.md states {claim}, but the smoke job has {len(smokes)} entries")
+    for what, names in (("smoke entries", smokes), ("perfbench-outputs workloads", workloads)):
+        unnamed = [name for name in names if not re.search(rf"\b{re.escape(name)}\b", text)]
+        if unnamed:
+            problems.append(f"{what} missing from README.md's CI paragraph: " + ", ".join(unnamed))
+    summary = (
+        f"README.md's CI facts match {ci}: Python {tested}, {len(smokes)} smoke "
+        f"entries, {len(workloads)} perfbench-outputs workloads"
+    )
+    return problems, summary
+
+
 def main(docs_dir: Path = DOCS_DIR, root: Path = REPO_ROOT) -> int:
-    """Check every catalog under ``docs_dir`` and the Markdown citations
-    under ``root``; 0 when all are in sync."""
+    """Check every catalog under ``docs_dir``, and the Markdown citations
+    and README's CI facts under ``root``; 0 when all are in sync."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     status = 0
     results = [check(catalog, docs_dir) for catalog in CATALOGS]
     results.append(check_citations(root))
+    results.append(check_ci_facts(root))
     for problems, summary in results:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
