@@ -48,6 +48,7 @@ class Container:
         "last_used",
         "calls_served",
         "pause_version",
+        "stamp",
     )
 
     def __init__(
@@ -68,6 +69,10 @@ class Container:
         self.calls_served = 0
         #: Monotone counter invalidating superseded pause timers.
         self.pause_version = 0
+        #: Pool-local join counter: stamps rise in the order containers
+        #: join their pool's container list (set by the pool; a prewarm
+        #: shell joins when it is specialised).
+        self.stamp = 0
 
     @property
     def is_warm(self) -> bool:

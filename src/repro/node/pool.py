@@ -16,6 +16,7 @@ baseline's cheap unpause, or our invoker's serialized dispatch cycle).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import TYPE_CHECKING, List, Literal, Optional
 
 from repro.node.container import Container, ContainerState
@@ -70,6 +71,12 @@ class ContainerPool:
         self.memory = memory
         #: All live containers (busy or warm), insertion order.
         self.containers: List[Container] = []
+        #: Stamps containers as they join :attr:`containers`, so stamp
+        #: order is their order there.
+        self._joins = count()
+        #: Idle warm containers, each mapped to its stamp: the eviction
+        #: candidates, kept so that eviction never scans the whole node.
+        self._idle: dict = {}
         #: Live containers grouped by function name, each group in the
         #: same relative (insertion) order as :attr:`containers` — the
         #: placement scan for a call touches only its own function's
@@ -115,6 +122,7 @@ class ContainerPool:
             container.state = ContainerState.PAUSED
             self.containers.append(container)
             self._index_add(container)
+            self._idle[container] = container.stamp
             created += 1
         return created
 
@@ -122,7 +130,9 @@ class ContainerPool:
     # Placement
     # ------------------------------------------------------------------
     def _index_add(self, container: Container) -> None:
-        """Register a (specialised) container in the per-function index."""
+        """Stamp a (specialised) container that just joined
+        :attr:`containers` and register it in the per-function index."""
+        container.stamp = next(self._joins)
         self._by_function.setdefault(container.function.name, []).append(container)
 
     def warm_count(self, spec: "FunctionSpec") -> int:
@@ -202,6 +212,7 @@ class ContainerPool:
         container.calls_served += 1
         container.pause_version += 1
         container.state = _HOT
+        self._idle[container] = container.stamp
         grace = Timeout(self.env, self.config.pause_grace_s, (container, container.pause_version))
         grace.callbacks.append(self._grace_expired)
 
@@ -209,10 +220,17 @@ class ContainerPool:
     # Eviction
     # ------------------------------------------------------------------
     def idle_warm_containers(self) -> List[Container]:
-        """Evictable containers, least-recently-used first."""
-        idle = [c for c in self.containers if c.is_warm]
-        idle.sort(key=lambda c: c.last_used)
-        return idle
+        """Evictable containers, least-recently-used first.
+
+        Ordered by ``(last_used, position in containers)``: ties on
+        ``last_used`` (several releases at one instant) come out in
+        :attr:`containers` order, as a stable sort of that list would
+        give them, whatever order they were released in.
+        """
+        idle = self._idle
+        if not idle:
+            return []
+        return sorted(idle, key=lambda c: (c.last_used, idle[c]))
 
     def evict(self, container: Container) -> None:
         """Remove *container*: memory freed now, daemon ``remove`` queued."""
@@ -221,6 +239,7 @@ class ContainerPool:
         container.state = ContainerState.DEAD
         container.pause_version += 1
         self.containers.remove(container)
+        del self._idle[container]
         self._by_function[container.function.name].remove(container)
         self.memory.release(container.memory_mb)
         self.evictions += 1
@@ -228,7 +247,15 @@ class ContainerPool:
 
     def _ensure_memory(self, amount_mb: int) -> bool:
         """Evict idle LRU containers until *amount_mb* fits; False if the
-        pool cannot free enough (all remaining containers busy)."""
+        pool cannot free enough (all remaining containers busy).
+
+        When every idle container together cannot free enough, they are
+        all evicted anyway (each costing a daemon ``remove``) before the
+        call returns False.  As we read stock OpenWhisk's
+        ``ContainerPool.remove``, it picks no victim unless the free
+        containers' memory covers the request; this model keeps its
+        historical behaviour, which the golden fingerprints pin.
+        """
         if self.memory.can_reserve(amount_mb):
             return True
         for candidate in self.idle_warm_containers():
@@ -241,6 +268,7 @@ class ContainerPool:
     # Internals
     # ------------------------------------------------------------------
     def _claim(self, container: Container) -> None:
+        del self._idle[container]
         container.busy = True
         container.last_used = self.env.now
         container.pause_version += 1  # invalidate pending pause timers

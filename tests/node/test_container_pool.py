@@ -1,5 +1,7 @@
 """Tests for container lifecycle and the warm/prewarm pools."""
 
+import random
+
 import pytest
 
 from repro.node.container import ContainerState
@@ -122,25 +124,83 @@ class TestEviction:
         with pytest.raises(ValueError):
             pool.evict(plan.container)
 
-    def test_lru_order(self, env, config, catalog):
-        pool, _ = make_pool(env, config)
-        pool.seed_warm(catalog["sleep"], 1)
-        first = pool.containers[0]
+    def test_lru_ties_evict_in_container_order(self, env, config, catalog):
+        pool, _ = make_pool(env, config, memory_mb=256)
+        first = pool.acquire(catalog["sleep"], allow_prewarm=False).container
+        second = pool.acquire(catalog["graph-bfs"], allow_prewarm=False).container
+        assert pool.containers == [first, second]
+        # One instant, released in the reverse of their containers order.
+        pool.release(second)
+        pool.release(first)
+        assert first.last_used == second.last_used
+        assert pool.idle_warm_containers() == [first, second]
+        # The pool is full (2 x 128 of 256 MiB): the tie's head goes first.
+        assert pool._ensure_memory(128)
+        assert first.state is ContainerState.DEAD
+        assert pool.containers == [second]
+        assert pool._ensure_memory(256)
+        assert second.state is ContainerState.DEAD
+        assert pool.evictions == 2
 
-        def use_later(env):
-            yield env.timeout(1.0)
-            plan = pool.acquire(catalog["sleep"])
-            yield env.timeout(0.1)
-            pool.release(plan.container)
 
-        env.process(use_later(env))
-        env.run(until=2.0)
-        pool.seed_warm(catalog["graph-bfs"], 2)
-        idle = pool.idle_warm_containers()
-        # graph-bfs seeds are newest; `first` (sleep, reused at t=1.0)
-        # should not be the LRU head if another older existed; with one
-        # sleep container it is simply ordered by last_used.
-        assert idle[0].last_used <= idle[-1].last_used
+def _scan(pool):
+    """The whole-node eviction scan the idle index replaced (reference)."""
+    return sorted([c for c in pool.containers if c.is_warm], key=lambda c: c.last_used)
+
+
+class TestIdleIndex:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_index_matches_scan_under_churn(self, env, config, catalog, seed):
+        rng = random.Random(seed)
+        pool, _ = make_pool(env, config, memory_mb=2048)
+        pool.bootstrap_prewarm(3)
+        specs = [
+            catalog[name]
+            for name in ("sleep", "graph-bfs", "compression", "uploader", "dna-visualisation")
+        ]
+        pool.seed_warm(specs[0], 2)
+        busy = []
+        seen = {"reordered": 0, "paused": 0, "explicit_evictions": 0}
+
+        def check():
+            idle = pool.idle_warm_containers()
+            assert idle == _scan(pool)
+            # Tied releases out of containers order: release order alone
+            # would put them wrong, so the stamp decides.
+            seen["reordered"] += list(pool._idle) != idle
+            seen["paused"] += any(c.state is ContainerState.PAUSED for c in idle)
+
+        check()
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.4:
+                before = _scan(pool)
+                plan = pool.acquire(rng.choice(specs), allow_prewarm=rng.random() < 0.5)
+                if plan is not None:
+                    busy.append(plan.container)
+                # Placement evicts a least-recently-used prefix.
+                evicted = [c for c in before if c.state is ContainerState.DEAD]
+                assert evicted == before[: len(evicted)]
+            elif roll < 0.55 and busy:
+                pool.release(busy.pop(rng.randrange(len(busy))))
+            elif roll < 0.65 and len(busy) >= 2:
+                group = rng.sample(busy, rng.randint(2, len(busy)))
+                group.sort(key=pool.containers.index, reverse=True)
+                for container in group:  # one instant, reverse containers order
+                    busy.remove(container)
+                    pool.release(container)
+            elif roll < 0.68:
+                idle = _scan(pool)
+                if idle:
+                    pool.evict(rng.choice(idle))
+                    seen["explicit_evictions"] += 1
+            else:
+                env.run(until=env.now + rng.choice([0.1, 0.3, 0.6, 1.0]))
+            check()
+        # The churn reached every path the index must track.
+        assert pool.prewarm_starts and pool.cold_starts and pool.warm_hits and pool.hot_hits
+        assert pool.evictions > seen["explicit_evictions"] > 0
+        assert seen["reordered"] and seen["paused"]
 
 
 class TestPauseLifecycle:
