@@ -10,7 +10,7 @@ folded into the result-cache fingerprint, and swept by
 :class:`~repro.experiments.grid.GridSpec` like any other grid dimension.
 
 The default :meth:`FailureSpec.none` spec preserves the exact historical
-failure-free code path — the 26 golden fingerprints are byte-identical
+failure-free code path — the failure-free goldens are byte-identical
 under it.  Every injected fault is driven by a dedicated seeded RNG
 stream (see :mod:`repro.failures.rng`), independent of the workload
 streams, so runs stay deterministic and serial-vs-parallel bit-identical.

@@ -5,9 +5,10 @@ action containers) at the level of detail the paper's evaluation depends
 on:
 
 * :mod:`repro.node.config` — all calibration knobs (:class:`NodeConfig`);
-* :mod:`repro.node.docker` — the Docker daemon as a serialized FIFO server
-  for container operations (create/unpause/pause/remove), the node-wide
-  bottleneck that makes container management dominate under load;
+* :mod:`repro.node.docker` — the Docker daemon as a serialized priority
+  server for container operations (create/unpause/pause/remove), the
+  node-wide bottleneck that makes container management dominate under
+  load;
 * :mod:`repro.node.container` / :mod:`repro.node.memory` /
   :mod:`repro.node.pool` — container lifecycle (cold → warm → hot → paused
   → evicted), memory-pool accounting, and the warm/prewarm pools with LRU

@@ -13,16 +13,19 @@ have lower numbers of cores", Sect. VII-C).
 Light operations (the baseline's unpause of a warm container) happen
 concurrently and are modelled as plain latency by the callers.
 
-Operations are served FIFO.  Background operations (pausing or removing
-an idle container) enter the same queue and steal capacity from
-foreground dispatch operations.
+Waiting operations are served lowest priority first, ties in arrival
+order.  Background operations (pausing or removing an idle container)
+enter the same queue and steal capacity from foreground dispatch
+operations.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator
+from heapq import heappop, heappush
+from itertools import count
+from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
 
-from repro.sim.resources import PriorityResource
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -40,6 +43,10 @@ class DockerDaemon:
     modified invoker, so a short call jumps ahead of a long one here too —
     while background operations (pauses, removals) default to their
     enqueue time, which interleaves them fairly with FIFO-ordered work.
+
+    The daemon is one busy flag and a heap of ``(priority, arrival,
+    slot)`` for the operations waiting behind the one in service; each
+    operation's *slot* event succeeds when the daemon turns to it.
     """
 
     #: Known operation kinds, mapped to their NodeConfig duration field.
@@ -53,7 +60,9 @@ class DockerDaemon:
     def __init__(self, env: "Environment", config: "NodeConfig") -> None:
         self.env = env
         self.config = config
-        self._server = PriorityResource(env, capacity=1)
+        self._busy = False
+        self._waiting: List[Tuple[float, int, Event]] = []
+        self._arrivals = count()
         #: Completed-operation counters by kind.
         self.op_counts: Dict[str, int] = {kind: 0 for kind in self.OP_FIELDS}
         #: Total seconds the daemon has spent serving operations.
@@ -62,7 +71,7 @@ class DockerDaemon:
     @property
     def queue_length(self) -> int:
         """Operations waiting for the daemon (excludes the one in service)."""
-        return self._server.queued
+        return len(self._waiting)
 
     def duration_of(self, kind: str) -> float:
         field_name = self.OP_FIELDS.get(kind)
@@ -78,11 +87,21 @@ class DockerDaemon:
         *priority* the operation is served in enqueue-time order.
         """
         duration = self.duration_of(kind)
+        env = self.env
         if priority is None:
-            priority = self.env.now
-        with self._server.request(priority=priority) as slot:
-            yield slot
-            yield self.env.timeout(duration)
+            priority = env.now
+        slot = Event(env)
+        if self._busy:
+            heappush(self._waiting, (priority, next(self._arrivals), slot))
+        else:
+            self._busy = True
+            slot.succeed()
+        yield slot
+        yield env.timeout(duration)
+        if self._waiting:
+            heappop(self._waiting)[2].succeed()
+        else:
+            self._busy = False
         self.op_counts[kind] += 1
         self.busy_seconds += duration
 

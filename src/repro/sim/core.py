@@ -82,14 +82,13 @@ class Environment:
     'done'
     """
 
-    __slots__ = ("_now", "_queue", "_live", "_next_eid", "_active_process")
+    __slots__ = ("_now", "_queue", "_live", "_next_eid")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now: float = float(initial_time)
         self._queue: List[Entry] = []
         self._live: int = 0
         self._next_eid = count().__next__
-        self._active_process: Optional["Process"] = None
 
     # ------------------------------------------------------------------
     # Clock & calendar
@@ -98,11 +97,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time (seconds)."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional["Process"]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     def schedule(self, event: "Event", delay: float = 0.0, priority: int = NORMAL) -> Entry:
         """Insert *event* into the calendar ``delay`` seconds from now.
@@ -197,14 +191,16 @@ class Environment:
         until:
             ``None`` — run until the calendar drains;
             a number — run until the clock reaches that time;
-            an :class:`~repro.sim.events.Event` — run until it triggers, and
-            return its value.
+            an :class:`~repro.sim.events.Event` — run until it is processed,
+            and return its value (or raise its exception, if it failed).
         """
         stop_at: Optional[float] = None
         if until is None:
             pass
         elif isinstance(until, Event):
             if until.processed:
+                if not until.ok:
+                    raise until.value
                 return until.value
             until.callbacks.append(_stop_simulation)
         else:
@@ -246,12 +242,6 @@ class Environment:
     def process(self, generator: Generator) -> "Process":
         """Start a new coroutine :class:`~repro.sim.process.Process`."""
         return Process(self, generator)
-
-    def all_of(self, events) -> "AllOf":
-        return AllOf(self, events)
-
-    def any_of(self, events) -> "AnyOf":
-        return AnyOf(self, events)
 
 
 class ReusableTimer:
@@ -319,10 +309,13 @@ class ReusableTimer:
 
 
 def _stop_simulation(event: "Event") -> None:
-    """Calendar callback used by :meth:`Environment.run(until=event)`."""
+    """Calendar callback used by :meth:`Environment.run(until=event)`:
+    stop with the event's value, or raise the exception it failed with."""
+    if not event.ok:
+        raise event.value
     raise StopSimulation(event.value)
 
 
 # Typing-only imports for annotations used above.
-from repro.sim.events import Event, Timeout, AllOf, AnyOf  # noqa: E402  (cycle-safe tail import)
+from repro.sim.events import Event, Timeout  # noqa: E402  (cycle-safe tail import)
 from repro.sim.process import Process  # noqa: E402

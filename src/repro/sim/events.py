@@ -1,4 +1,4 @@
-"""One-shot events and event combinators."""
+"""One-shot events, timeouts and the any-of race."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.sim.core import NORMAL
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
 
-__all__ = ["Event", "Timeout", "Condition", "AllOf", "AnyOf", "PENDING"]
+__all__ = ["Event", "Timeout", "AnyOf", "PENDING"]
 
 #: Sentinel for "event not yet triggered".
 PENDING = object()
@@ -86,13 +86,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror the state of another triggered *event* (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
@@ -101,7 +94,7 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` seconds after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -111,60 +104,40 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self.defused = False
-        self.delay = delay = float(delay)
+        delay = float(delay)
         # Inlined ``env.schedule(self, delay)`` (same entry, same sequence
         # counter): one Timeout per simulated delay makes this a hot path.
         heappush(env._queue, [env._now + delay, NORMAL, env._next_eid(), self])
         env._live += 1
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Timeout delay={self.delay!r} at {id(self):#x}>"
 
+class AnyOf(Event):
+    """Triggers when **any** constituent event has been processed.
 
-class Condition(Event):
-    """Triggers once ``evaluate(events, n_triggered)`` returns True.
-
-    Failure of any constituent event fails the condition immediately.
+    Its value maps each processed, successful constituent to its value;
+    an empty list triggers at once with ``{}``.  Failure of a constituent
+    fails the condition immediately.
     """
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    __slots__ = ("_events",)
 
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
-        self._evaluate = evaluate
         self._events = list(events)
-        self._count = 0
 
         for event in self._events:
             if event.env is not env:
                 raise ValueError("all events of a condition must share one environment")
 
-        if not self._events or self._evaluate(self._events, 0):
-            self.succeed(self._collect())
+        if not self._events:
+            self.succeed({})
             return
 
         for event in self._events:
             if event.processed:
                 self._check(event)
-            elif event.triggered:
-                # Triggered but still in the calendar: hook in before callbacks run.
-                event.callbacks.append(self._check)
             else:
                 event.callbacks.append(self._check)
-
-    def _collect(self) -> dict:
-        """Values of all processed-and-ok constituent events, in order.
-
-        ``processed`` (not merely ``triggered``) is the right test: a
-        :class:`Timeout` carries its value from creation, but it has not
-        *happened* until its calendar entry is popped.
-        """
-        return {e: e.value for e in self._events if e.processed and e.ok}
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -173,24 +146,7 @@ class Condition(Event):
             event.defused = True
             self.fail(event.value)
             return
-        self._count += 1
-        if self._evaluate(self._events, self._count):
-            self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Triggers when **all** constituent events have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, lambda evs, n: n >= len(evs), events)
-
-
-class AnyOf(Condition):
-    """Triggers when **any** constituent event has triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, lambda evs, n: n >= 1, events)
+        # ``processed`` (not merely ``triggered``) is the right test: a
+        # :class:`Timeout` carries its value from creation, but it has not
+        # *happened* until its calendar entry is popped.
+        self.succeed({e: e.value for e in self._events if e.processed and e.ok})

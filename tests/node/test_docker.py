@@ -1,10 +1,15 @@
 """Tests for the serialized docker-daemon model."""
 
+from itertools import count
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.node.config import NodeConfig
 from repro.node.docker import DockerDaemon
 from repro.sim.core import Environment
+from repro.sim.events import Timeout
 
 
 @pytest.fixture
@@ -105,3 +110,93 @@ class TestDockerDaemon:
         env.process(worker(env))
         env.run(until=0.5)
         assert daemon.queue_length == 2
+
+
+def _observed(op, on_start):
+    """Drive a daemon operation, calling *on_start* when it yields the
+    ``Timeout`` of its service, i.e. when the daemon turns to it."""
+    value = None
+    while True:
+        try:
+            event = op.send(value)
+        except StopIteration:
+            return
+        if isinstance(event, Timeout):
+            on_start()
+        value = yield event
+
+
+#: One operation: kind, arrival (in 1/8 s slots) and an explicit or
+#: default priority.  Durations are multiples of 1/8 s too, so operations
+#: often arrive at the very moment another one completes, and every sum
+#: of durations is exact.
+OP_STREAMS = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(DockerDaemon.OP_FIELDS)),
+        st.integers(0, 300),
+        st.one_of(st.none(), st.integers(0, 3).map(float)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestDaemonQueueProperties:
+    @given(OP_STREAMS)
+    @settings(max_examples=100, deadline=None)
+    def test_serial_work_conserving_priority_order(self, stream):
+        env = Environment()
+        config = NodeConfig(
+            cores=2, create_op_s=1.0, dispatch_op_s=0.5, pause_op_s=0.25, remove_op_s=0.125
+        )
+        daemon = DockerDaemon(env, config)
+        # One counter orders arrivals and releases that share a moment.
+        ticks = count()
+        arrived, arrival_tick, key, start, start_tick, queued, end, release_tick = (
+            {} for _ in range(8)
+        )
+
+        def client(env, i, kind, slot, priority):
+            yield env.timeout(slot / 8)
+            arrived[i], arrival_tick[i] = env.now, next(ticks)
+            key[i] = (env.now if priority is None else priority, arrival_tick[i])
+
+            def on_start():
+                start[i], start_tick[i] = env.now, next(ticks)
+                queued[i] = daemon.queue_length
+
+            yield from _observed(daemon.op(kind, priority), on_start)
+            end[i], release_tick[i] = env.now, next(ticks)
+
+        for i, (kind, slot, priority) in enumerate(stream):
+            env.process(client(env, i, kind, slot, priority))
+        env.run()
+
+        assert len(end) == len(stream) and daemon.queue_length == 0
+        served = sorted(range(len(stream)), key=start.__getitem__)
+        for i in served:
+            assert end[i] == start[i] + daemon.duration_of(stream[i][0])
+        for n, k in enumerate(served):
+            later = served[n:]
+            # The operations not yet served that had arrived when the
+            # daemon last freed; none before the first operation.
+            if n == 0:
+                waiting = []
+            else:
+                before = served[n - 1]
+                assert start[k] >= end[before]  # one operation at a time
+                waiting = [i for i in later if arrival_tick[i] < release_tick[before]]
+            if waiting:
+                # Busy again at once, with the least (priority, arrival).
+                assert start[k] == end[before]
+                assert key[k] == min(key[i] for i in waiting)
+            else:
+                # Idle until the next arrival, which is served at once.
+                assert arrival_tick[k] == min(arrival_tick[i] for i in later)
+                assert start[k] == arrived[k]
+            # Everything else that has arrived by now waits in the queue.
+            assert queued[k] == sum(arrival_tick[i] < start_tick[k] for i in later[1:])
+        # The counters total the stream.
+        kinds = [kind for kind, _, _ in stream]
+        assert daemon.op_counts == {kind: kinds.count(kind) for kind in DockerDaemon.OP_FIELDS}
+        assert daemon.busy_seconds == sum(daemon.duration_of(kind) for kind in kinds)

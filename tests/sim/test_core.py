@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-    Timeout,
-)
+from repro.sim import AnyOf, Environment, SimulationError
 
 
 class TestEnvironment:
@@ -125,6 +117,23 @@ class TestEvent:
         ev.succeed("x")
         assert env.run(until=ev) == "x"
 
+    def test_run_until_failed_event_raises(self):
+        env = Environment()
+        ev = env.event()
+        ev.fail(ValueError("boom"))
+        with pytest.raises(ValueError, match="boom"):
+            env.run(until=ev)
+
+    def test_run_until_processed_failed_event_raises(self):
+        env = Environment()
+        ev = env.event()
+        ev.fail(ValueError("earlier"))
+        ev.defused = True
+        env.run()
+        assert ev.processed
+        with pytest.raises(ValueError, match="earlier"):
+            env.run(until=ev)
+
     def test_run_until_event_never_triggering_raises(self):
         env = Environment()
         ev = env.event()  # never triggered
@@ -198,6 +207,18 @@ class TestProcess:
         with pytest.raises(RuntimeError, match="inner"):
             env.run()
 
+    def test_run_until_raising_process_raises(self):
+        env = Environment()
+
+        def proc(env):
+            yield env.timeout(1.0)
+            raise RuntimeError("inner")
+
+        p = env.process(proc(env))
+        with pytest.raises(RuntimeError, match="inner"):
+            env.run(until=p)
+        assert env.now == 1.0
+
     def test_exception_handled_by_waiting_parent(self):
         env = Environment()
 
@@ -214,46 +235,6 @@ class TestProcess:
         p = env.process(parent(env))
         env.run()
         assert p.value == "from-child"
-
-    def test_interrupt_wakes_process(self):
-        env = Environment()
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                return ("interrupted", interrupt.cause, env.now)
-
-        def interrupter(env, victim):
-            yield env.timeout(10.0)
-            victim.interrupt(cause="reason")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert victim.value == ("interrupted", "reason", 10.0)
-
-    def test_interrupt_dead_process_raises(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(1.0)
-
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(RuntimeError):
-            p.interrupt()
-
-    def test_process_is_alive_lifecycle(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.timeout(5.0)
-
-        p = env.process(proc(env))
-        assert p.is_alive
-        env.run()
-        assert not p.is_alive
 
     def test_non_generator_rejected(self):
         env = Environment()
@@ -290,7 +271,6 @@ class TestProcess:
         p = env.process(self._returns_at_once(env))
         env.run()
         assert env.run(until=p) == "settled"
-        assert AllOf(env, [p]).value == {p: "settled"}
         assert AnyOf(env, [p]).value == {p: "settled"}
 
     def test_unawaited_failure_is_still_scheduled(self):
@@ -308,18 +288,6 @@ class TestProcess:
 
 
 class TestConditions:
-    def test_all_of_waits_for_all(self):
-        env = Environment()
-        t1, t2 = env.timeout(1.0, "a"), env.timeout(5.0, "b")
-
-        def proc(env):
-            results = yield AllOf(env, [t1, t2])
-            return (env.now, sorted(results.values()))
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == (5.0, ["a", "b"])
-
     def test_any_of_fires_on_first(self):
         env = Environment()
         t1, t2 = env.timeout(1.0, "fast"), env.timeout(5.0, "slow")
@@ -332,10 +300,10 @@ class TestConditions:
         env.run()
         assert p.value == (1.0, ["fast"])
 
-    def test_all_of_empty_fires_immediately(self):
+    def test_any_of_empty_fires_immediately(self):
         env = Environment()
-        cond = AllOf(env, [])
-        assert cond.triggered
+        cond = AnyOf(env, [])
+        assert cond.triggered and cond.value == {}
 
     def test_condition_failure_propagates(self):
         env = Environment()
@@ -347,7 +315,7 @@ class TestConditions:
 
         def waiter(env):
             try:
-                yield AllOf(env, [bad, env.timeout(10.0)])
+                yield AnyOf(env, [bad, env.timeout(10.0)])
             except ValueError as exc:
                 return str(exc)
 
@@ -359,4 +327,4 @@ class TestConditions:
     def test_condition_rejects_foreign_events(self):
         env1, env2 = Environment(), Environment()
         with pytest.raises(ValueError):
-            AllOf(env1, [env2.timeout(1.0)])
+            AnyOf(env1, [env2.timeout(1.0)])

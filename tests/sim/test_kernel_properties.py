@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Resource, SharedCPU, Store
+from repro.sim import Environment, SharedCPU
 
 
 class TestEventOrdering:
@@ -35,54 +35,6 @@ class TestEventOrdering:
             env.process(proc(env, delay))
         env.run()
         assert observed == sorted(observed)
-
-
-class TestResourceInvariants:
-    @given(
-        capacity=st.integers(1, 5),
-        holds=st.lists(st.floats(min_value=0.01, max_value=2.0), min_size=1, max_size=30),
-    )
-    @settings(max_examples=50)
-    def test_concurrent_users_never_exceed_capacity(self, capacity, holds):
-        env = Environment()
-        resource = Resource(env, capacity=capacity)
-        peak = 0
-        active = 0
-
-        def user(env, hold):
-            nonlocal peak, active
-            with resource.request() as request:
-                yield request
-                active += 1
-                peak = max(peak, active)
-                yield env.timeout(hold)
-                active -= 1
-
-        for hold in holds:
-            env.process(user(env, hold))
-        env.run()
-        assert peak <= capacity
-        assert resource.count == 0  # all released
-
-    @given(st.lists(st.integers(0, 1000), min_size=1, max_size=50))
-    @settings(max_examples=50)
-    def test_store_preserves_items(self, items):
-        env = Environment()
-        store = Store(env)
-        received = []
-
-        def producer(env):
-            for item in items:
-                yield store.put(item)
-
-        def consumer(env):
-            for _ in range(len(items)):
-                received.append((yield store.get()))
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert received == list(items)
 
 
 class TestCpuWorkConservation:

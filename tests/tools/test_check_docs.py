@@ -218,7 +218,7 @@ def test_dropped_smoke_entry_fails(repo_copy, capsys):
 
 
 def test_unnamed_perfbench_workload_fails(repo_copy, capsys):
-    edit_first(repo_copy / check_docs.WORKFLOW, "sweep-local]", "sweep-local, sweep-queue]")
+    edit_first(repo_copy / "README.md", ", `sweep-local` or `sweep-queue`", " or `sweep-local`")
     error = "perfbench-outputs workloads missing from README.md's CI paragraph: sweep-queue"
     assert_only_ci_error(repo_copy, error, capsys)
 

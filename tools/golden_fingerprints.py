@@ -10,7 +10,8 @@ pins that property:
   registered workload scenario, crossed with both node models (the
   modified invoker and the stock-OpenWhisk baseline — the latter is the
   oversubscription stress for the processor-sharing CPU bank), plus the
-  fleet topologies of :func:`cluster_cases`.
+  retrying client's timeout race on both node models and the fleet
+  topologies of :func:`cluster_cases`.
 * :func:`compute_fingerprints` runs each case and hashes the exact
   serialized output (floats serialize via ``repr``, which round-trips
   doubles exactly).
@@ -68,7 +69,8 @@ def _replay_params(tmpdir: Path) -> Dict[str, object]:
 
 def fingerprint_cases(tmpdir: Path) -> List[Tuple[str, "object"]]:
     """``(label, ExperimentConfig)`` pairs covering every registered
-    scenario under both node models, then the cluster cases."""
+    scenario under both node models, two heavy stresses, the timeout
+    race, then the cluster cases."""
     from repro.experiments.config import ExperimentConfig
     from repro.workload.registry import scenario_names
 
@@ -105,6 +107,18 @@ def fingerprint_cases(tmpdir: Path) -> List[Tuple[str, "object"]]:
             ExperimentConfig(cores=8, intensity=200, policy="FC", seed=1, scenario="skewed"),
         )
     )
+    # The retrying client's timeout race (``AnyOf(done, timeout)``): some
+    # first attempts time out, some calls give up after their last one.
+    timeouts = {"timeout_s": 2.0, "max_attempts": 2, "backoff_base_s": 0.1}
+    for policy in POLICIES:
+        cases.append(
+            (
+                f"uniform:{policy}:timeout",
+                ExperimentConfig(
+                    cores=4, intensity=10, policy=policy, seed=1, failures=timeouts
+                ),
+            )
+        )
     return cases + cluster_cases()
 
 
