@@ -6,19 +6,19 @@ invoker's action containers; the connection stays open until the result
 returns.  :class:`FaaSPlatform` drives a workload through that pipeline
 and produces client-side :class:`~repro.metrics.records.CallRecord`\\ s.
 
-Two workload shapes are supported:
+One arrival injector feeds every workload.  A materialised
+:class:`~repro.workload.generator.BurstScenario` and a lazy
+:class:`~repro.workload.generator.RequestStream` both yield their
+requests through ``arrivals()``; the injector pulls them one at a time
+and keeps a single release timeout armed, so the calendar holds the
+calls in flight, never the whole workload (the million-invocation
+streaming path relies on this).
 
-* a materialised :class:`~repro.workload.generator.BurstScenario` — every
-  client is started up front (the code path the golden fingerprints pin);
-* a lazy :class:`~repro.workload.generator.RequestStream` — a single
-  injector process walks the arrival stream and starts each client at its
-  release time, so peak memory tracks the *concurrency* of the workload,
-  not its length (the million-invocation streaming path).
-
-A failure-free client is a chain of calendar callbacks — release time,
-request leg, the invoker's ``done`` event, response leg, then
+The client is a chain of calendar callbacks — release time, request leg,
+the invoker's ``done`` event, response leg, then
 :meth:`FaaSPlatform._finish` — with no process of its own.  Under failure
-injection each client is a generator process (timeout races, backoff).
+injection the same chain draws each attempt's fault, races the attempt
+against an optional timeout, and retries with backoff.
 
 Record retention is orthogonal: ``retain_records=False`` skips the
 O(invocations) record list, and a ``collector``
@@ -28,12 +28,12 @@ into constant-size state the moment its response reaches the client.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.cluster.controller import LoadBalancer, LeastLoadedBalancer
 from repro.cluster.network import NetworkModel
 from repro.metrics.records import CallRecord
-from repro.sim.events import AnyOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.failures.rng import FailureRng
@@ -84,9 +84,14 @@ class FaaSPlatform:
         self.completed_count = 0
         self._retain_records = True
         self._collector: Optional["MetricsAccumulator"] = None
+        self._arrivals: Iterator["Request"] = iter(())
+        self._label = ""
+        self._last_release = float("-inf")
         self._pending = 0
         self._injecting = False
         self._all_done: Optional[Event] = None
+        #: Attempts so far of each call in flight (failure injection only).
+        self._attempts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def run_scenario(
@@ -98,10 +103,8 @@ class FaaSPlatform:
     ) -> List[CallRecord]:
         """Drive *scenario* to completion.
 
-        A sized workload (:class:`BurstScenario`) takes the eager path:
-        every client is started up front.  A workload without ``__len__``
-        (:class:`RequestStream`) takes the lazy path: one injector process
-        starts each client at its release time.
+        The injector pulls ``scenario.arrivals()`` one request at a time
+        and sends each at its release time, whatever the workload's shape.
 
         ``collector.add(record)`` is invoked for every completed call the
         moment its response reaches the client (completion order);
@@ -111,19 +114,13 @@ class FaaSPlatform:
         """
         self._retain_records = retain_records
         self._collector = collector
-        if hasattr(scenario, "__len__"):
-            if not len(scenario):
-                return []
-            self._pending = len(scenario)
-            self._injecting = False
-            self._all_done = Event(self.env)
-            for request in scenario:
-                self._start_client(request)
-        else:
-            self._pending = 0
-            self._injecting = True
-            self._all_done = Event(self.env)
-            self.env.process(self._inject(scenario))
+        self._arrivals = iter(scenario.arrivals())
+        self._label = getattr(scenario, "label", "")
+        self._last_release = float("-inf")
+        self._pending = 0
+        self._injecting = True
+        self._all_done = Event(self.env)
+        self._inject()
         self.env.run(until=self._all_done)
         # Drain trailing background activity (container pauses etc.) so
         # back-to-back scenarios start from a quiet node.  Bounded, because
@@ -133,48 +130,38 @@ class FaaSPlatform:
         self.records.sort(key=lambda r: r.rid)
         return self.records
 
-    # ------------------------------------------------------------------
-    def _inject(self, scenario: "RequestStream"):
-        """Lazy injection: walk the arrival stream on simulation time,
-        starting one client per request at its release moment.
-        Peak memory is the in-flight call count, never the stream length."""
+    # -- the arrival injector ---------------------------------------------
+    def _inject(self) -> None:
+        """Send every request released by now, then arm one release
+        timeout for the next.  Once the arrivals run dry, injection is
+        done."""
         env = self.env
-        last_release = float("-inf")
-        for request in scenario.arrivals():
+        for request in self._arrivals:
             release = request.release_time
-            if release < last_release:
+            if release < self._last_release:
                 raise ValueError(
-                    f"RequestStream {getattr(scenario, 'label', '')!r} "
-                    f"yielded request rid={request.rid} at release time "
-                    f"{release!r} after {last_release!r}; streams must "
-                    f"yield in non-decreasing release-time order (see "
+                    f"workload {self._label!r} yielded request "
+                    f"rid={request.rid} at release time {release!r} after "
+                    f"{self._last_release!r}; arrivals must come in "
+                    f"non-decreasing release-time order (see "
                     f"RequestStream.arrivals)"
                 )
-            last_release = release
-            if release > env.now:
-                yield env.timeout(release - env.now)
+            self._last_release = release
             self._pending += 1
-            self._start_client(request)
+            if release > env.now:
+                timeout = Timeout(env, release - env.now, request)
+                timeout.callbacks.append(self._on_release)
+                return
+            self._send(request)
         self._injecting = False
-        if self._pending == 0 and self._all_done is not None:
+        if self._pending == 0:
             self._all_done.succeed()
 
-    # ------------------------------------------------------------------
-    def _start_client(self, request: "Request") -> None:
-        if self.failures is not None:
-            self.env.process(self._client_call_failures(request))
-            return
-        env = self.env
-        if request.release_time > env.now:
-            release = Timeout(env, request.release_time - env.now, request)
-            release.callbacks.append(self._on_release)
-        else:
-            self._send(request)
-
-    # -- the failure-free client: one callback per calendar event --------
     def _on_release(self, release: Timeout) -> None:
         self._send(release.value)
+        self._inject()
 
+    # -- the client: one callback per calendar event ----------------------
     def _send(self, request: "Request") -> None:
         # Request leg: client -> controller/Kafka -> invoker.
         leg = Timeout(self.env, self.network.request_delay(), request)
@@ -182,19 +169,36 @@ class FaaSPlatform:
 
     def _on_received(self, leg: Timeout) -> None:
         request = leg.value
+        spec = self.failures
+        fault = None
+        if spec is not None:
+            # Count the attempt; its fault is drawn before routing.
+            attempt = self._attempts.get(request.rid, 0) + 1
+            self._attempts[request.rid] = attempt
+            fault = self._failure_rng.attempt_fault(spec, request.rid, attempt)
         index = self.balancer.pick(request)
         stats = getattr(self.balancer, "stats", None)
         if stats is not None:  # duck-typed custom balancers may omit it
             stats.picks += 1
-        self.invokers[index].submit(request).callbacks.append(self._on_done)
+        done = self.invokers[index].submit(request, fault)
+        done.callbacks.append(self._on_done)
+        if spec is not None and spec.timeout_s > 0.0:
+            timeout = Timeout(self.env, spec.timeout_s, (request, done))
+            timeout.callbacks.append(self._on_timeout)
 
     def _on_done(self, done: Event) -> None:
+        info = done.value
+        if self.failures is not None and info.outcome != "ok":
+            self._retry(info.request, info)
+            return
         # Response leg: invoker -> client.
-        leg = Timeout(self.env, self.network.response_delay(), done.value)
+        leg = Timeout(self.env, self.network.response_delay(), info)
         leg.callbacks.append(self._on_response)
 
     def _on_response(self, leg: Timeout) -> None:
-        self._finish(CallRecord.from_node_info(leg.value, self.env.now))
+        info = leg.value
+        attempts = 1 if self.failures is None else self._attempts.pop(info.request.rid)
+        self._finish(CallRecord.from_node_info(info, self.env.now, attempts=attempts))
 
     def _finish(self, record: CallRecord) -> None:
         if self._collector is not None:
@@ -203,88 +207,67 @@ class FaaSPlatform:
             self.records.append(record)
         self.completed_count += 1
         self._pending -= 1
-        if self._pending == 0 and not self._injecting and self._all_done is not None:
+        if self._pending == 0 and not self._injecting:
             self._all_done.succeed()
 
-    # ------------------------------------------------------------------
-    def _client_call_failures(self, request: "Request"):
-        """The retrying client (failure injection only): per-attempt
-        faults, an optional client-side timeout, and exponential-backoff
-        retries up to the spec's attempt budget (docs/FAILURES.md)."""
-        env = self.env
+    # -- retries (failure injection only; docs/FAILURES.md) ----------------
+    def _on_timeout(self, timeout: Timeout) -> None:
+        request, done = timeout.value
+        if done.triggered:
+            # Answered in time, or at this very moment: _on_done takes it.
+            return
+        # Abandon the attempt: the node finishes (or crashes) the orphan
+        # later, and its late response never reaches the client.
+        done.callbacks.remove(self._on_done)
+        self._retry(request, None)
+
+    def _retry(self, request: "Request", info: Optional["NodeCallInfo"]) -> None:
+        """An attempt failed (*info* is its node timeline) or timed out
+        (*info* is ``None``).  Give up once the attempt budget is spent;
+        otherwise send the call again, at once when a crashed node's call
+        migrates, after an exponential backoff in every other case."""
         spec = self.failures
-        assert spec is not None and self._failure_rng is not None
-        if request.release_time > env.now:
-            yield env.timeout(request.release_time - env.now)
-        attempt = 0
-        info: Optional["NodeCallInfo"] = None
-        outcome = "ok"
-        while True:
-            attempt += 1
-            # Request leg: client -> controller/Kafka -> invoker.
-            yield env.timeout(self.network.request_delay())
-            fault = self._failure_rng.attempt_fault(spec, request.rid, attempt)
-            index = self.balancer.pick(request)
-            stats = getattr(self.balancer, "stats", None)
-            if stats is not None:  # duck-typed custom balancers may omit it
-                stats.picks += 1
-            done = self.invokers[index].submit(request, fault)
-            if spec.timeout_s > 0.0:
-                yield AnyOf(env, [done, env.timeout(spec.timeout_s)])
-                if done.triggered:
-                    info = done.value
-                    attempt_outcome = info.outcome
-                else:
-                    # Abandon the attempt: the node finishes (or crashes)
-                    # the orphan later; its late response is discarded.
-                    info = None
-                    attempt_outcome = "timeout"
-            else:
-                info = yield done
-                attempt_outcome = info.outcome
-            if attempt_outcome == "ok":
-                break
-            if attempt >= spec.max_attempts:
-                outcome = "gave-up"
-                break
-            # Migrated calls (node crash under crash_inflight="migrate")
-            # re-route immediately; every other retry backs off.
-            if not (
-                attempt_outcome == "node-crash" and spec.crash_inflight == "migrate"
-            ):
-                delay = spec.backoff_base_s * spec.backoff_factor ** (attempt - 1)
-                if delay > 0:
-                    yield env.timeout(delay)
-        if outcome == "ok":
-            # Response leg: invoker -> client.
-            yield env.timeout(self.network.response_delay())
-            record = CallRecord.from_node_info(
-                info, env.now, attempts=attempt, outcome=outcome
-            )
-        elif info is not None:
-            # Gave up on a failed (not timed-out) final attempt: the node
-            # timeline of that attempt is real; keep it.
-            record = CallRecord.from_node_info(
-                info, env.now, attempts=attempt, outcome=outcome
-            )
+        attempt = self._attempts[request.rid]
+        if attempt >= spec.max_attempts:
+            del self._attempts[request.rid]
+            self._finish(self._gave_up(request, info, attempt))
+            return
+        if info is not None and info.outcome == "node-crash" and spec.crash_inflight == "migrate":
+            self._send(request)
+            return
+        delay = spec.backoff_base_s * spec.backoff_factor ** (attempt - 1)
+        if delay > 0:
+            backoff = Timeout(self.env, delay, request)
+            backoff.callbacks.append(self._on_backoff)
         else:
-            # Every attempt timed out: no node timeline ever came back.
-            now = env.now
-            record = CallRecord(
-                rid=request.rid,
-                function_name=request.function.name,
-                invoker="",
-                release_time=request.release_time,
-                received_at=now,
-                dispatched_at=now,
-                exec_start=now,
-                exec_end=now,
-                completed_at=now,
-                service_time=request.service_time,
-                reference_response_time=request.function.median_response_time,
-                cold_start=False,
-                start_kind="none",
-                attempts=attempt,
-                outcome=outcome,
-            )
-        self._finish(record)
+            self._send(request)
+
+    def _on_backoff(self, backoff: Timeout) -> None:
+        self._send(backoff.value)
+
+    def _gave_up(
+        self, request: "Request", info: Optional["NodeCallInfo"], attempts: int
+    ) -> CallRecord:
+        now = self.env.now
+        if info is not None:
+            # The final attempt failed (not timed out): the node timeline
+            # of that attempt is real; keep it.
+            return CallRecord.from_node_info(info, now, attempts=attempts, outcome="gave-up")
+        # The final attempt timed out: no node timeline came back.
+        return CallRecord(
+            rid=request.rid,
+            function_name=request.function.name,
+            invoker="",
+            release_time=request.release_time,
+            received_at=now,
+            dispatched_at=now,
+            exec_start=now,
+            exec_end=now,
+            completed_at=now,
+            service_time=request.service_time,
+            reference_response_time=request.function.median_response_time,
+            cold_start=False,
+            start_kind="none",
+            attempts=attempts,
+            outcome="gave-up",
+        )

@@ -123,11 +123,12 @@ class ExperimentConfig:
     retain_records:
         ``True`` (the default, and what every golden-fingerprint run
         uses) keeps the full O(invocations) ``CallRecord`` list on the
-        result.  ``False`` selects the streaming pipeline: the workload
-        feeds the platform lazily and each completed call folds into a
+        result.  ``False`` selects the streaming pipeline: only the
         constant-size :class:`~repro.metrics.streaming.SummaryAccumulator`
-        — exact counts/means/cold-starts/makespan, sketched percentiles
-        (see docs/STREAMING.md).  Part of the cache fingerprint because
+        that every completed call folds into survives — exact
+        counts/means/cold-starts/makespan, sketched percentiles — and a
+        ``replay`` trace is read one minute at a time (see
+        docs/STREAMING.md).  Part of the cache fingerprint because
         the cached payload shape differs.
     """
 

@@ -220,9 +220,10 @@ def _no_requests(config: ExperimentConfig) -> ValueError:
 
 
 def _build_workload(config: ExperimentConfig, rngs: RngRegistry):
-    """The config's workload through the scenario registry: materialised
-    (retained mode, the exact historical path) or a lazy
-    :class:`~repro.workload.generator.RequestStream` (streaming mode).
+    """The config's workload through the scenario registry: materialised,
+    or in streaming mode a lazy
+    :class:`~repro.workload.generator.RequestStream` where the scenario
+    has a streaming builder (``replay``).
 
     Any scenario registered via
     :func:`repro.workload.registry.register_scenario` is runnable here —
@@ -252,14 +253,12 @@ def _drive_platform(
     """
     retain = config.retain_records
     accumulator = SummaryAccumulator()
-    if not retain:
-        for invoker in platform.invokers:
-            invoker.retain_completed = False
     records = platform.run_scenario(
         workload, retain_records=retain, collector=accumulator
     )
-    if not retain and accumulator.n_calls == 0:
-        # A stream's emptiness is only observable after draining it.
+    if accumulator.n_calls == 0:
+        # One check for both workload shapes: a stream's emptiness is
+        # only observable after draining it.
         raise _no_requests(config)
     return (records if retain else None), accumulator
 
@@ -302,8 +301,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             invoker.warm_up(catalog)
 
     workload = _build_workload(config, rngs)
-    if config.retain_records and len(workload) == 0:
-        raise _no_requests(config)
 
     balancer_kwargs = cluster.balancer_kwargs()
     balancer = make_balancer(

@@ -67,11 +67,7 @@ class BaselineInvoker:
             Tuple["Request", NodeCallInfo, Event, "Optional[AttemptFault]"]
         ] = deque()
         self._running = 0
-        #: Per-call timelines (O(calls) memory); streaming runs set
-        #: :attr:`retain_completed` to ``False`` to keep only the counter.
-        self.completed: List[NodeCallInfo] = []
         self.completed_count = 0
-        self.retain_completed = True
         self.submitted = 0
         #: False while crashed (no dispatching; out of the balancer list).
         self.live = True
@@ -241,8 +237,6 @@ class BaselineInvoker:
 
         self.pool.release(container)
         info.finished_at = env.now
-        if self.retain_completed:
-            self.completed.append(info)
         self.completed_count += 1
         self._running -= 1
         self._inflight.pop(done, None)

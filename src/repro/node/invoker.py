@@ -127,11 +127,7 @@ class Invoker:
             )
         self.queue: StablePriorityQueue = StablePriorityQueue()
         self._busy = 0
-        #: Per-call timelines (O(calls) memory); streaming runs set
-        #: :attr:`retain_completed` to ``False`` to keep only the counter.
-        self.completed: List[NodeCallInfo] = []
         self.completed_count = 0
-        self.retain_completed = True
         self.submitted = 0
         #: False while crashed (no dispatching; out of the balancer list).
         self.live = True
@@ -335,8 +331,6 @@ class Invoker:
             self.policy.on_completed(request, info.processing_time)
         self.pool.release(container)
         info.finished_at = env.now
-        if self.retain_completed:
-            self.completed.append(info)
         self.completed_count += 1
         self._busy -= 1
         self._inflight.pop(done, None)

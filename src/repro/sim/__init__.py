@@ -8,8 +8,7 @@ simulator runs:
 * :class:`~repro.sim.core.Environment` — the event calendar and clock, and
   :class:`~repro.sim.core.ReusableTimer` — a re-armable calendar callback;
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout` —
-  one-shot events — and :class:`~repro.sim.events.AnyOf`, the race behind
-  the retrying client's timeout;
+  one-shot events;
 * :class:`~repro.sim.process.Process` — coroutine processes driven by the
   calendar;
 * :class:`~repro.sim.cpu.SharedCPU` — a malleable processor-sharing CPU bank
@@ -24,14 +23,13 @@ keeps its own queue (:class:`repro.node.docker.DockerDaemon`).
 """
 
 from repro.sim.core import Environment, ReusableTimer, SimulationError, StopSimulation
-from repro.sim.events import AnyOf, Event, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 from repro.sim.cpu import CpuTask, DedicatedCPU, SharedCPU, linear_overhead_efficiency
 from repro.sim.rng import RngRegistry
 from repro.sim.waterfill import waterfill_rates
 
 __all__ = [
-    "AnyOf",
     "CpuTask",
     "DedicatedCPU",
     "Environment",

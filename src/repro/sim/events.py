@@ -1,16 +1,16 @@
-"""One-shot events, timeouts and the any-of race."""
+"""One-shot events and timeouts."""
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 from repro.sim.core import NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
 
-__all__ = ["Event", "Timeout", "AnyOf", "PENDING"]
+__all__ = ["Event", "Timeout", "PENDING"]
 
 #: Sentinel for "event not yet triggered".
 PENDING = object()
@@ -109,44 +109,3 @@ class Timeout(Event):
         # counter): one Timeout per simulated delay makes this a hot path.
         heappush(env._queue, [env._now + delay, NORMAL, env._next_eid(), self])
         env._live += 1
-
-
-class AnyOf(Event):
-    """Triggers when **any** constituent event has been processed.
-
-    Its value maps each processed, successful constituent to its value;
-    an empty list triggers at once with ``{}``.  Failure of a constituent
-    fails the condition immediately.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("all events of a condition must share one environment")
-
-        if not self._events:
-            self.succeed({})
-            return
-
-        for event in self._events:
-            if event.processed:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defused = True
-            self.fail(event.value)
-            return
-        # ``processed`` (not merely ``triggered``) is the right test: a
-        # :class:`Timeout` carries its value from creation, but it has not
-        # *happened* until its calendar entry is popped.
-        self.succeed({e: e.value for e in self._events if e.processed and e.ok})

@@ -223,25 +223,24 @@ class RequestStream:
     """A lazy workload: requests yielded in release-time order, never all
     materialised at once.
 
-    The streaming counterpart of :class:`BurstScenario` for the platform's
-    lazy-injection path (see ``FaaSPlatform.run_scenario``).  A stream
-    deliberately has **no** ``__len__`` — the total request count is
-    unknown until the stream is drained — which is also how the platform
-    tells the two workload shapes apart.
+    The streaming counterpart of :class:`BurstScenario`.  A stream has
+    **no** ``__len__``: the total request count is unknown until the
+    stream is drained.  The platform never asks; it pulls both shapes
+    through :meth:`arrivals`, one request at a time (see
+    ``FaaSPlatform.run_scenario``).
 
     Contract
     --------
     * :meth:`arrivals` yields :class:`Request` objects in **non-decreasing
       release-time order** (ties broken by ``rid``, matching
       :class:`BurstScenario`'s sort).  The platform enforces the ordering
-      at injection time and fails loudly on a violation.
+      at injection time, for both shapes, and fails loudly on a violation.
     * A stream is **single-use**: the factory typically consumes RNG state
       and/or a file handle, so ``arrivals`` may only be called once.
     * Peak memory while iterating should be bounded by the workload's
-      *concurrency*, not its length, for truly streaming sources (CSV
-      replay); deferred-build wrappers around materialising builders
-      (see ``ScenarioSpec.build_stream``) keep the O(n) list internal to
-      the generator instead.
+      *concurrency*, not its length (CSV replay).  Scenarios without a
+      streaming builder stream their materialised
+      :class:`BurstScenario` instead (see ``ScenarioSpec.build_stream``).
     """
 
     def __init__(

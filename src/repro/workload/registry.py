@@ -41,6 +41,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -118,8 +119,8 @@ class ScenarioSpec:
     #: Optional truly-streaming builder returning a
     #: :class:`~repro.workload.generator.RequestStream` (same signature
     #: as :attr:`builder`); attached via :func:`register_stream_builder`.
-    #: Scenarios without one stream through the generic deferred-build
-    #: wrapper (see :meth:`build_stream`).
+    #: Scenarios without one stream their materialised workload (see
+    #: :meth:`build_stream`).
     stream_builder: Optional[ScenarioBuilder] = None
 
     def param_names(self) -> List[str]:
@@ -179,30 +180,20 @@ class ScenarioSpec:
         window: float = BURST_WINDOW_S,
         catalog: Optional[Sequence[FunctionSpec]] = None,
         params: Optional[Mapping[str, Any]] = None,
-    ) -> RequestStream:
-        """Build the scenario as a lazy :class:`RequestStream`.
+    ) -> Union[BurstScenario, RequestStream]:
+        """Build the scenario for a streaming run.
 
         Scenarios with a registered streaming builder (currently
-        ``replay``) produce requests in truly bounded memory.  Every other
-        scenario goes through a *deferred-build* wrapper: the materialising
-        builder runs only when the platform first pulls arrivals, and the
-        request list stays internal to the generator — same RNG draw
-        order, same requests, same injection order as the retained path,
-        so streaming results match retained ones exactly.
+        ``replay``) produce a :class:`RequestStream` whose requests live
+        in bounded memory.  Every other scenario returns :meth:`build`'s
+        materialised workload: the platform pulls both shapes through
+        ``arrivals()`` one request at a time, so streaming results match
+        retained ones exactly.
         """
+        if self.stream_builder is None:
+            return self.build(cores, intensity, rng, window=window, catalog=catalog, params=params)
         kwargs = self.validate_params(params)
-        if self.stream_builder is not None:
-            return self.stream_builder(
-                cores, intensity, rng, window=window, catalog=catalog, **kwargs
-            )
-
-        def deferred() -> Iterator[Any]:
-            scenario = self.builder(
-                cores, intensity, rng, window=window, catalog=catalog, **kwargs
-            )
-            return scenario.arrivals()
-
-        return RequestStream(deferred, window=window, label=f"{self.name} (deferred)")
+        return self.stream_builder(cores, intensity, rng, window=window, catalog=catalog, **kwargs)
 
 
 class ScenarioRegistry:
@@ -383,11 +374,12 @@ def build_scenario_stream(
     window: float = BURST_WINDOW_S,
     catalog: Optional[Sequence[FunctionSpec]] = None,
     params: Optional[Mapping[str, Any]] = None,
-) -> RequestStream:
-    """Build the scenario registered under *name* as a lazy
-    :class:`~repro.workload.generator.RequestStream` — the entry point of
-    the runner's ``retain_records=False`` path (see
-    :meth:`ScenarioSpec.build_stream` for the streaming semantics)."""
+) -> Union[BurstScenario, RequestStream]:
+    """Build the scenario registered under *name* for a streaming run — the
+    entry point of the runner's ``retain_records=False`` path: a lazy
+    :class:`~repro.workload.generator.RequestStream` where the scenario
+    has a streaming builder, its materialised workload otherwise (see
+    :meth:`ScenarioSpec.build_stream`)."""
     return get_scenario(name).build_stream(
         cores, intensity, rng, window=window, catalog=catalog, params=params
     )

@@ -9,7 +9,8 @@ NOT double the peak: streaming memory is bounded by workload
 
 These runs take minutes each, so the whole module is gated behind the
 ``slow`` marker and the ``REPRO_RUN_SLOW`` environment variable; CI runs
-it on a schedule, not per-PR (see .github/workflows/ci.yml).
+it weekly and on the pull requests that touch the injection path, not on
+every pull request (see .github/workflows/slow.yml).
 """
 
 import importlib.util

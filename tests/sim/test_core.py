@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AnyOf, Environment, SimulationError
+from repro.sim import Environment, SimulationError
 
 
 class TestEnvironment:
@@ -271,7 +271,6 @@ class TestProcess:
         p = env.process(self._returns_at_once(env))
         env.run()
         assert env.run(until=p) == "settled"
-        assert AnyOf(env, [p]).value == {p: "settled"}
 
     def test_unawaited_failure_is_still_scheduled(self):
         env = Environment()
@@ -285,46 +284,3 @@ class TestProcess:
         assert env.scheduled_count == 1
         with pytest.raises(RuntimeError, match="unawaited"):
             env.run()
-
-
-class TestConditions:
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-        t1, t2 = env.timeout(1.0, "fast"), env.timeout(5.0, "slow")
-
-        def proc(env):
-            results = yield AnyOf(env, [t1, t2])
-            return (env.now, list(results.values()))
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == (1.0, ["fast"])
-
-    def test_any_of_empty_fires_immediately(self):
-        env = Environment()
-        cond = AnyOf(env, [])
-        assert cond.triggered and cond.value == {}
-
-    def test_condition_failure_propagates(self):
-        env = Environment()
-        bad = env.event()
-
-        def failer(env):
-            yield env.timeout(1.0)
-            bad.fail(ValueError("cond-fail"))
-
-        def waiter(env):
-            try:
-                yield AnyOf(env, [bad, env.timeout(10.0)])
-            except ValueError as exc:
-                return str(exc)
-
-        env.process(failer(env))
-        p = env.process(waiter(env))
-        env.run()
-        assert p.value == "cond-fail"
-
-    def test_condition_rejects_foreign_events(self):
-        env1, env2 = Environment(), Environment()
-        with pytest.raises(ValueError):
-            AnyOf(env1, [env2.timeout(1.0)])

@@ -10,8 +10,10 @@ pins that property:
   registered workload scenario, crossed with both node models (the
   modified invoker and the stock-OpenWhisk baseline — the latter is the
   oversubscription stress for the processor-sharing CPU bank), plus the
-  retrying client's timeout race on both node models and the fleet
-  topologies of :func:`cluster_cases`.
+  retrying client on both node models (its timeout race; container kills
+  with stragglers) and the fleet topologies of :func:`cluster_cases`
+  (node crashes under ``crash_inflight="fail"`` and ``"migrate"``, and
+  crashes combined with client timeouts).
 * :func:`compute_fingerprints` runs each case and hashes the exact
   serialized output (floats serialize via ``repr``, which round-trips
   doubles exactly).
@@ -70,7 +72,7 @@ def _replay_params(tmpdir: Path) -> Dict[str, object]:
 def fingerprint_cases(tmpdir: Path) -> List[Tuple[str, "object"]]:
     """``(label, ExperimentConfig)`` pairs covering every registered
     scenario under both node models, two heavy stresses, the timeout
-    race, then the cluster cases."""
+    race and container kills with stragglers, then the cluster cases."""
     from repro.experiments.config import ExperimentConfig
     from repro.workload.registry import scenario_names
 
@@ -107,25 +109,38 @@ def fingerprint_cases(tmpdir: Path) -> List[Tuple[str, "object"]]:
             ExperimentConfig(cores=8, intensity=200, policy="FC", seed=1, scenario="skewed"),
         )
     )
-    # The retrying client's timeout race (``AnyOf(done, timeout)``): some
-    # first attempts time out, some calls give up after their last one.
+    # The retrying client's timeout race (an attempt's ``done`` event
+    # against its timeout's callback): some first attempts time out, some
+    # calls give up after their last one.
     timeouts = {"timeout_s": 2.0, "max_attempts": 2, "backoff_base_s": 0.1}
-    for policy in POLICIES:
-        cases.append(
-            (
-                f"uniform:{policy}:timeout",
-                ExperimentConfig(
-                    cores=4, intensity=10, policy=policy, seed=1, failures=timeouts
-                ),
+    # Per-attempt faults without a timeout: killed containers fail their
+    # attempt and the client backs off and retries; stragglers stretch
+    # an attempt's work.
+    kill_straggler = {
+        "container_kill_rate": 0.2,
+        "straggler_prob": 0.2,
+        "straggler_factor": 3.0,
+        "backoff_base_s": 0.1,
+    }
+    for name, failures in (("timeout", timeouts), ("kill-straggler", kill_straggler)):
+        for policy in POLICIES:
+            cases.append(
+                (
+                    f"uniform:{policy}:{name}",
+                    ExperimentConfig(
+                        cores=4, intensity=10, policy=policy, seed=1, failures=failures
+                    ),
+                )
             )
-        )
     return cases + cluster_cases()
 
 
 def cluster_cases() -> List[Tuple[str, "object"]]:
     """Fleet topologies beyond the single node: the paper's Sect. VIII
-    cells, two concurrent scale-outs, a heterogeneous fleet, and node
-    crashes on three nodes and on one (where no crash is ever injected)."""
+    cells, two concurrent scale-outs, a heterogeneous fleet, node crashes
+    on three nodes and on one (where no crash is ever injected), crashed
+    nodes' calls migrated at once, and crashes combined with client
+    timeouts."""
     from repro.cluster.spec import ClusterSpec
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.fig6_multinode import fig6_config
@@ -173,6 +188,33 @@ def cluster_cases() -> List[Tuple[str, "object"]]:
         (
             "uniform:FC:crash-1node",
             ExperimentConfig(cores=4, intensity=30, policy="FC", failures=crashes),
+        ),
+        (
+            "cluster:migrate:FC",
+            ExperimentConfig(
+                cores=4,
+                intensity=30,
+                policy="FC",
+                seed=1,
+                cluster=ClusterSpec(nodes=3),
+                failures={**crashes, "crash_inflight": "migrate"},
+            ),
+        ),
+        (
+            "cluster:crash-timeout:baseline",
+            ExperimentConfig(
+                cores=4,
+                intensity=30,
+                policy="baseline",
+                seed=1,
+                cluster=ClusterSpec(nodes=3),
+                failures={
+                    **crashes,
+                    "timeout_s": 2.0,
+                    "max_attempts": 2,
+                    "backoff_base_s": 0.1,
+                },
+            ),
         ),
     ]
 
