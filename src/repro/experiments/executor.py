@@ -1,17 +1,17 @@
 """Pluggable grid-execution backends behind one ``Executor`` interface.
 
 The parallel engine historically had exactly one execution strategy: a
-local process-per-cell pool owned by the submitting process.  A full
+local worker pool owned by the submitting process.  A full
 scenario × policy × cluster × seed × failure sweep outgrows one
 machine, so :func:`~repro.experiments.parallel.run_configs` now
 delegates the *"run these pending cells"* step to an executor selected
 by name:
 
 ``local`` (default)
-    The historical engine, byte-for-byte: ``jobs=1`` runs cells inline
-    in the submitting process (failures raise the original exception),
-    ``jobs>1`` shards them across the crash-hardened
-    :class:`~repro.experiments.parallel._ProcessEngine`.
+    ``jobs=1`` runs cells inline in the submitting process (failures
+    raise the original exception); ``jobs>1`` shards them across the
+    crash-hardened :class:`~repro.experiments.parallel._ProcessEngine`,
+    whose long-lived workers store the cells they compute.
 
 ``queue``
     The distributed mode (:mod:`repro.experiments.queue`): pending
@@ -28,7 +28,7 @@ Executors never see cache *hits*: :func:`run_configs` serves those
 before delegating, so a backend only ever receives genuinely pending
 cells.  Storing computed results into the cache is each backend's
 responsibility (the queue protocol must store *before* releasing a
-cell's lease; the local path stores as cells finish).
+cell's lease; a local worker stores a cell before it reports it).
 
 Selection: the ``executor=`` argument (threaded through
 ``run_grid``/``EngineOptions``/the CLI's ``--executor`` flag), else the
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import EngineStats, ResultCache, Runner
+from repro.experiments.parallel import EngineStats, ResultCache, Runner, _ProcessEngine
 from repro.experiments.runner import ExperimentResult, run_experiment
 
 __all__ = [
@@ -109,12 +109,13 @@ class Executor(ABC):
 
 
 class LocalExecutor(Executor):
-    """The historical in-process engine, unchanged in behaviour.
+    """The engine owned by the submitting process.
 
-    ``jobs=1`` runs cells inline (exceptions propagate untouched, the
-    exact code path the repo has always had); ``jobs>1`` uses the
-    crash-hardened process-per-cell engine (killed workers respawned
-    with backoff, hung cells cancelled on the per-cell deadline).
+    ``jobs=1`` runs cells inline and stores them here (exceptions
+    propagate untouched, the exact code path the repo has always had);
+    ``jobs>1`` uses the crash-hardened pool of long-lived workers, which
+    store their own cells (a killed worker's cell is retried with
+    backoff, hung cells are cancelled on the per-cell deadline).
     """
 
     name = "local"
@@ -125,28 +126,14 @@ class LocalExecutor(Executor):
         finished: FinishedCallback,
         context: ExecutionContext,
     ) -> None:
-        cache = context.cache
-
-        def done(
-            index: int, config: ExperimentConfig, result: ExperimentResult, cached: bool
-        ) -> None:
-            if cache is not None:
-                cache.store(config, result)
-            finished(index, config, result, cached)
-
         if context.jobs <= 1:
             for index, config in pending:
-                done(index, config, context.runner(config), cached=False)
+                result = context.runner(config)
+                if context.cache is not None:
+                    context.cache.store(config, result)
+                finished(index, config, result, False)
             return
-        from repro.experiments.parallel import _ProcessEngine
-
-        engine = _ProcessEngine(
-            workers=min(context.jobs, len(pending)),
-            cell_timeout=context.cell_timeout,
-            stats=context.stats,
-            runner=context.runner,
-        )
-        engine.run(pending, done)
+        _ProcessEngine(context).run(pending, finished)
 
 
 def _local_factory() -> Executor:

@@ -6,14 +6,14 @@ independent, fully seeded simulation.  This module exploits that
 independence twice:
 
 * **Parallelism** — :func:`run_configs` shards a list of experiment
-  configurations across worker processes (``jobs=N``), one process per
-  cell.  Results are slotted by input index, so the returned list order —
-  and, because every run is deterministic given its config, every byte of
-  every result — is identical to the serial path.  The engine is
-  crash-hardened: a worker killed by the OS is retried once with backoff
-  before surfacing as a :class:`WorkerError`, and a per-cell wall-clock
-  timeout (``REPRO_CELL_TIMEOUT`` / ``cell_timeout=``) cancels hung cells
-  while the rest of the sweep completes.
+  configurations across ``jobs=N`` long-lived worker processes, which
+  store the cells they compute.  Results are slotted by input index, so
+  the returned list order — and, because every run is deterministic given
+  its config, every byte of every result — is identical to the serial
+  path.  The engine is crash-hardened: a killed worker's cell is retried
+  once with backoff before surfacing as a :class:`WorkerError`, and a
+  per-cell wall-clock timeout (``REPRO_CELL_TIMEOUT`` / ``cell_timeout=``)
+  cancels hung cells while the rest of the sweep completes.
 
 * **Caching** — :class:`ResultCache` persists each
   :class:`~repro.experiments.runner.ExperimentResult` under a
@@ -28,7 +28,7 @@ Determinism contract: workers never share RNG state.  Each cell builds its
 own :class:`~repro.sim.rng.RngRegistry` from ``config.seed`` inside the
 worker process, exactly as the serial path does, which is why parallel
 results are bit-identical to serial ones (enforced by
-``tests/experiments/test_parallel.py``).
+``tests/experiments/test_parallel.py``), however many cells a worker runs.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.connection
+import multiprocessing.util
 import os
-import queue as queue_module
 import sys
 import time
 import traceback
@@ -355,7 +356,7 @@ class EngineStats:
     computed: int = 0
     cached: int = 0
     jobs: int = 1
-    #: Worker processes that died (e.g. OOM-killed) and were respawned.
+    #: Cells retried because their worker process died (e.g. OOM-killed).
     retries: int = 0
     #: Cells cancelled for exceeding the per-cell wall-clock timeout.
     timeouts: int = 0
@@ -450,28 +451,32 @@ _OK, _ERR = "ok", "err"
 
 #: Environment variable supplying the default per-cell wall-clock budget.
 CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
-#: A crashed (not erroring — killed) worker is respawned this many times
-#: total before the cell surfaces as a :class:`WorkerError`.
+#: A cell whose worker dies (killed, not erroring) is attempted this many
+#: times in total before it surfaces as a :class:`WorkerError`.
 _CRASH_MAX_ATTEMPTS = 2
-#: Backoff before respawning a crashed worker: base * 2**(attempt-1).
+#: Backoff before a dead worker's cell is requeued: base * 2**(attempt-1).
 _CRASH_BACKOFF_S = 0.25
-#: After a worker process exits, its result may still be in flight in the
-#: queue pipe; wait this long before declaring the death a crash.
-_CRASH_GRACE_S = 1.0
-#: Parent poll interval while waiting on worker results.
+#: Longest the parent blocks on worker results before it looks at
+#: deadlines and backoffs again.
 _POLL_S = 0.05
 
 
-def _cell_main(index: int, config: ExperimentConfig, runner: Runner, results) -> None:
-    """Worker process entry: run one experiment, shipping failures back as
-    data so the parent can raise a :class:`WorkerError` with full context.
-    A worker that never reports (killed, hung) is handled by the parent's
-    liveness/deadline tracking — the sweep cannot hang on it."""
+def _worker_main(tasks, results, runner: Runner, cache: Optional[ResultCache]) -> None:
+    """Worker process loop: run each ``(index, config)`` read from ``tasks``,
+    store it when the sweep has a cache, and report on ``results`` (failures
+    as data, for a :class:`WorkerError`).  Exits on ``None`` or a closed pipe."""
     try:
-        results.put((_OK, index, runner(config), None, None))
-    except Exception as exc:  # noqa: BLE001 - re-raised in the parent
-        message = f"{type(exc).__name__}: {exc}"
-        results.put((_ERR, index, config.label(), message, traceback.format_exc()))
+        for index, config in iter(tasks.recv, None):
+            try:
+                result = runner(config)
+                if cache is not None:
+                    cache.store(config, result)
+                results.send((_OK, index, result, None, None))
+            except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+                message = f"{type(exc).__name__}: {exc}"
+                results.send((_ERR, index, config.label(), message, traceback.format_exc()))
+    except (EOFError, OSError):  # a closed pipe: the parent has gone
+        pass
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -479,7 +484,7 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     # but is only safe on Linux — macOS deliberately defaults to spawn
     # (fork is unreliable with threads/the ObjC runtime there) and Windows
     # has no fork.  Elsewhere use the platform default, which works because
-    # _cell_main and the runner are picklable top-level callables.
+    # _worker_main, the runner, the cache and the pipes are picklable.
     if sys.platform == "linux":
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()  # pragma: no cover - non-Linux
@@ -503,67 +508,54 @@ def _resolve_cell_timeout(cell_timeout: Optional[float]) -> Optional[float]:
 
 
 @dataclass
-class _Cell:
-    """Parent-side state of one in-flight worker process."""
+class _Worker:
+    """One long-lived worker: its process, the parent's ends of its task and
+    result pipes, and the ``(index, config, attempt)`` cell it has run since
+    ``started`` (``None`` while idle)."""
 
-    index: int
-    config: ExperimentConfig
     process: Any
-    started: float
-    deadline: Optional[float]
-    attempt: int
-    died_at: Optional[float] = None
+    tasks: Any
+    results: Any
+    cell: Optional[Tuple[int, ExperimentConfig, int]] = None
+    started: float = 0.0
 
 
 class _ProcessEngine:
-    """One process per pending cell, bounded by the worker budget.
+    """At most ``jobs`` long-lived workers, spawned when a cell needs one.
 
     Unlike a ``multiprocessing.Pool`` (whose ``imap`` blocks forever on a
-    worker the OS killed), the parent owns every child ``Process`` and
-    polls liveness and per-cell deadlines itself:
+    worker the OS killed), the parent owns each worker's process and pipes,
+    hands it one cell at a time and waits on them itself:
 
-    * a worker that **errors** ships the traceback back and the sweep
-      aborts with :class:`WorkerError` (the historical contract);
-    * a worker that **dies** (OOM killer, SIGKILL) is respawned once with
-      backoff — the cell is deterministic, so the retry is exact — and
-      only a repeat death surfaces as :class:`WorkerError` with the exit
-      code;
+    * a cell that **errors** ships its traceback back and the sweep aborts
+      with :class:`WorkerError` (the historical contract);
+    * a worker that **dies** (OOM killer, SIGKILL) shows as end-of-file on
+      its result pipe, or a broken pipe when it is sent a cell.  That cell
+      is requeued once with backoff (it is deterministic, so the retry is
+      exact); a repeat death raises :class:`WorkerError` with the exit code;
     * a worker that **hangs** past ``cell_timeout`` is terminated and
       recorded; the rest of the sweep completes before the timeouts are
       raised as one aggregate :class:`WorkerError`.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        cell_timeout: Optional[float],
-        stats: EngineStats,
-        runner: Runner,
-    ) -> None:
-        self.workers = workers
-        self.cell_timeout = cell_timeout
-        self.stats = stats
-        self.runner = runner
-        self.context = _pool_context()
-        self.results = self.context.Queue()
+    def __init__(self, sweep) -> None:
+        #: The sweep's ``ExecutionContext``: jobs, runner, cache, cell_timeout, stats.
+        self.sweep = sweep
         self.waiting: deque = deque()
-        #: Crashed cells awaiting their backoff:
+        #: Cells whose worker died, awaiting their backoff:
         #: (not_before, index, config, attempt).
         self.delayed: List[Tuple[float, int, ExperimentConfig, int]] = []
-        self.running: Dict[int, _Cell] = {}
+        self.pool: List[_Worker] = []
         #: ``(label, elapsed_s)`` of cells cancelled on deadline.
         self.timed_out: List[Tuple[str, float]] = []
 
     def run(self, pending, finished) -> None:
-        for index, config in pending:
-            self.waiting.append((index, config, 1))
+        self.waiting.extend((index, config, 1) for index, config in pending)
         try:
-            while self.waiting or self.delayed or self.running:
+            while self.waiting or self.delayed or any(w.cell for w in self.pool):
                 self._promote_delayed()
-                self._launch()
-                if self._drain_one(finished):
-                    continue
-                self._check_running()
+                self._assign()
+                self._collect(finished)
         finally:
             self._shutdown()
         if self.timed_out:
@@ -573,7 +565,7 @@ class _ProcessEngine:
             raise WorkerError(
                 self.timed_out[0][0],
                 f"{len(self.timed_out)} cell(s) exceeded the "
-                f"{self.cell_timeout}s cell timeout: {detail}",
+                f"{self.sweep.cell_timeout}s cell timeout: {detail}",
                 "(cell cancelled on deadline; no worker traceback)",
             )
 
@@ -585,96 +577,114 @@ class _ProcessEngine:
             self.delayed.remove(entry)
             self.waiting.append(entry[1:])
 
-    def _launch(self) -> None:
-        while self.waiting and len(self.running) < self.workers:
-            index, config, attempt = self.waiting.popleft()
-            process = self.context.Process(
-                target=_cell_main, args=(index, config, self.runner, self.results)
-            )
-            process.daemon = True
-            process.start()
-            now = time.monotonic()
-            self.running[index] = _Cell(
-                index=index,
-                config=config,
-                process=process,
-                started=now,
-                deadline=(
-                    now + self.cell_timeout if self.cell_timeout is not None else None
-                ),
-                attempt=attempt,
-            )
+    def _assign(self) -> None:
+        """Hand waiting cells to idle workers, spawning up to the budget."""
+        while self.waiting:
+            idle = [worker for worker in self.pool if worker.cell is None]
+            if not idle and len(self.pool) >= self.sweep.jobs:
+                return
+            worker = idle[0] if idle else self._spawn()
+            worker.cell, worker.started = self.waiting.popleft(), time.monotonic()
+            try:
+                worker.tasks.send(worker.cell[:2])
+            except OSError:  # BrokenPipeError: it died while idle
+                self._crashed(worker)
 
-    # -- results -------------------------------------------------------
-    def _drain_one(self, finished) -> bool:
-        """Handle one worker message; True when a message was consumed."""
+    def _spawn(self) -> _Worker:
+        context = _pool_context()
+        task_reader, tasks = context.Pipe(duplex=False)
+        results, result_writer = context.Pipe(duplex=False)
+        # Forked children, this worker included, close the parent's ends,
+        # so a worker whose parent dies reads end-of-file on ``tasks``.
+        for end in (tasks, results):
+            multiprocessing.util.register_after_fork(end, type(end).close)
+        args = (task_reader, result_writer, self.sweep.runner, self.sweep.cache)
+        process = context.Process(target=_worker_main, args=args, daemon=True)
+        process.start()
+        # Only the worker holds its ends now, so its death reads as
+        # end-of-file on ``results`` and a broken pipe on ``tasks``.
+        task_reader.close()
+        result_writer.close()
+        self.pool.append(_Worker(process, tasks, results))
+        return self.pool[-1]
+
+    # -- results, deaths and deadlines ---------------------------------
+    def _collect(self, finished) -> None:
+        """Wait until a busy worker reports or dies, a deadline passes or a
+        backoff ends, then handle each busy worker that is ready."""
+        busy = [worker for worker in self.pool if worker.cell is not None]
+        now = time.monotonic()
+        budget = self.sweep.cell_timeout
+        wakeups = [entry[0] for entry in self.delayed]
+        if budget is not None:
+            wakeups += [worker.started + budget for worker in busy]
+        timeout = min([_POLL_S] + [max(0.0, at - now) for at in wakeups])
+        if not busy:
+            time.sleep(timeout)
+            return
+        ready = multiprocessing.connection.wait(
+            [w.results for w in busy] + [w.process.sentinel for w in busy], timeout
+        )
+        now = time.monotonic()
+        for worker in busy:
+            if worker.results in ready or worker.process.sentinel in ready:
+                self._receive(worker, finished)
+            elif budget is not None and now - worker.started >= budget:
+                self.sweep.stats.timeouts += 1
+                self.timed_out.append((worker.cell[1].label(), now - worker.started))
+                self._retire(worker)
+
+    def _receive(self, worker: _Worker, finished) -> None:
+        # Drain a result sent just before a death before believing the sentinel.
         try:
-            outcome = self.results.get(timeout=_POLL_S)
-        except queue_module.Empty:
-            return False
+            outcome = worker.results.recv() if worker.results.poll() else None
+        except (EOFError, OSError):
+            outcome = None
+        if outcome is None:
+            self._crashed(worker)
+            return
+        config, worker.cell = worker.cell[1], None
         status, index, payload, message, remote_tb = outcome
-        cell = self.running.pop(index, None)
-        if cell is not None:
-            cell.process.join(timeout=5.0)
-        elif not any(entry[1] == index for entry in self.delayed):
-            # A late result from a cell already cancelled on deadline (or
-            # a respawn raced its predecessor's flush): drop it.
-            return True
         if status == _ERR:
             raise WorkerError(payload, message, remote_tb)
-        if cell is None:
-            return True
-        finished(index, cell.config, payload, cached=False)
-        return True
+        finished(index, config, payload, cached=False)
 
-    # -- liveness / deadlines ------------------------------------------
-    def _check_running(self) -> None:
-        now = time.monotonic()
-        for index, cell in list(self.running.items()):
-            if cell.deadline is not None and now >= cell.deadline:
-                self._cancel_on_deadline(cell, now)
-            elif not cell.process.is_alive():
-                if cell.died_at is None:
-                    cell.died_at = now
-                elif now - cell.died_at >= _CRASH_GRACE_S:
-                    self._handle_crash(cell, now)
-
-    def _cancel_on_deadline(self, cell: _Cell, now: float) -> None:
-        del self.running[cell.index]
-        _terminate(cell.process)
-        elapsed = now - cell.started
-        self.stats.timeouts += 1
-        self.timed_out.append((cell.config.label(), elapsed))
-
-    def _handle_crash(self, cell: _Cell, now: float) -> None:
-        """The worker exited without reporting and the grace period passed
-        with no queued result: it was killed (or died before flushing)."""
-        del self.running[cell.index]
-        cell.process.join(timeout=5.0)
-        exitcode = cell.process.exitcode
-        if cell.attempt < _CRASH_MAX_ATTEMPTS:
-            self.stats.retries += 1
-            backoff = _CRASH_BACKOFF_S * 2 ** (cell.attempt - 1)
-            self.delayed.append(
-                (now + backoff, cell.index, cell.config, cell.attempt + 1)
-            )
+    def _crashed(self, worker: _Worker) -> None:
+        """The worker died holding a cell: requeue it after a backoff, or
+        raise once the cell has used its attempts."""
+        index, config, attempt = worker.cell
+        self._retire(worker)
+        exitcode = worker.process.exitcode
+        if attempt < _CRASH_MAX_ATTEMPTS:
+            self.sweep.stats.retries += 1
+            backoff = _CRASH_BACKOFF_S * 2 ** (attempt - 1)
+            self.delayed.append((time.monotonic() + backoff, index, config, attempt + 1))
             return
         raise WorkerError(
-            cell.config.label(),
+            config.label(),
             f"worker process died (exit code {exitcode}) on attempt "
-            f"{cell.attempt}/{_CRASH_MAX_ATTEMPTS}",
+            f"{attempt}/{_CRASH_MAX_ATTEMPTS}",
             f"(worker killed with exit code {exitcode}; no traceback — "
             f"typically the OOM killer or an external signal)",
         )
 
+    def _retire(self, worker: _Worker) -> None:
+        self.pool.remove(worker)
+        _terminate(worker.process)
+        worker.tasks.close()
+        worker.results.close()
+
     def _shutdown(self) -> None:
-        for cell in self.running.values():
-            _terminate(cell.process)
-        self.running.clear()
-        self.results.close()
-        # Let the queue's feeder machinery wind down without blocking the
-        # raise path on a wedged pipe.
-        self.results.cancel_join_thread()
+        """Idle workers exit on ``None`` and are joined; busy ones (the
+        error path) are terminated."""
+        for worker in list(self.pool):
+            if worker.cell is None:
+                try:
+                    worker.tasks.send(None)
+                    worker.process.join(timeout=5.0)
+                except OSError:  # it died while idle
+                    pass
+            self._retire(worker)
 
 
 def _terminate(process) -> None:
@@ -706,11 +716,11 @@ def run_configs(
     jobs:
         Worker processes.  ``1`` (the default) runs inline in this process
         — the exact code path the repo has always had; failures then raise
-        the original exception.  ``N > 1`` shards cache misses across
-        worker processes (one per cell); a failure in any worker raises
-        :class:`WorkerError` and cancels the remaining work, a *killed*
-        worker is respawned once before doing so (see
-        :class:`_ProcessEngine`).
+        the original exception.  ``N > 1`` shards cache misses across at
+        most ``N`` long-lived worker processes, which store the cells they
+        compute; a failure in any worker raises :class:`WorkerError` and
+        cancels the remaining work, the cell of a *killed* worker is
+        retried once before doing so (see :class:`_ProcessEngine`).
     cache_dir:
         Root of an on-disk :class:`ResultCache`.  Hits skip computation
         entirely; misses are computed and stored.  ``None`` disables

@@ -1,16 +1,20 @@
-"""Crash-hardened grid engine: killed workers are respawned with backoff,
-hung cells are cancelled on the per-cell deadline while the rest of the
-sweep completes, and ``verify_cache`` quarantines damaged cache entries.
+"""Crash-hardened grid engine: long-lived workers compute and store many
+cells each, a killed worker's cell is retried with backoff, hung cells are
+cancelled on the per-cell deadline while the rest of the sweep completes,
+and ``verify_cache`` quarantines damaged cache entries.
 """
 
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 import repro.experiments.parallel as parallel
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
@@ -18,6 +22,7 @@ from repro.experiments.parallel import (
     EngineStats,
     WorkerError,
     config_fingerprint,
+    result_to_payload,
     run_configs,
     verify_cache,
 )
@@ -47,6 +52,46 @@ def crash_always_runner(config):
     if config.seed == 1:
         os.kill(os.getpid(), signal.SIGKILL)
     return run_experiment(config)
+
+
+def pid_recording_runner(config):
+    """Writes the computing process's pid to one file per seed."""
+    Path(os.environ["REPRO_TEST_PID_DIR"], str(config.seed)).write_text(str(os.getpid()))
+    return run_experiment(config)
+
+
+#: A script that runs a long ``jobs=2`` sweep whose runner touches
+#: ``argv[1]/<pid>`` for every cell it starts.
+ORPHANED_SWEEP = """
+import os, sys
+from pathlib import Path
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.parallel import run_configs
+from repro.experiments.runner import run_experiment
+
+def runner(config):
+    Path(sys.argv[1], str(os.getpid())).touch()
+    return run_experiment(config)
+
+configs = [ExperimentConfig(cores=4, intensity=10, seed=s) for s in range(1, 500)]
+run_configs(configs, jobs=2, runner=runner)
+"""
+
+
+def running(pid):
+    """Whether ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def wait_for(condition, seconds=30.0):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return condition()
 
 
 def sleepy_runner(config):
@@ -84,6 +129,78 @@ class TestWorkerCrash:
         assert "worker process died" in str(err.value)
         assert "exit code" in str(err.value)
         assert tiny_configs()[0].label() in str(err.value)
+
+
+class TestLongLivedWorkers:
+    def test_two_workers_compute_every_cell(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_PID_DIR", str(tmp_path))
+        stats = EngineStats()
+        run_configs(tiny_configs(6), jobs=2, runner=pid_recording_runner, stats=stats)
+        pids = {path.read_text() for path in tmp_path.iterdir()}
+        assert stats.computed == len(list(tmp_path.iterdir())) == 6
+        assert 1 <= len(pids) <= 2
+        assert str(os.getpid()) not in pids
+
+    def test_workers_store_their_own_entries(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        store = parallel.ResultCache.store
+
+        def store_outside_the_parent(cache, config, result):
+            if os.getpid() == parent:
+                raise AssertionError(f"the parent stored {config.label()}")
+            return store(cache, config, result)
+
+        monkeypatch.setattr(parallel.ResultCache, "store", store_outside_the_parent)
+        configs = tiny_configs(4)
+        stats = EngineStats()
+        run_configs(configs, jobs=2, cache_dir=tmp_path, stats=stats)
+        assert stats.computed == len(configs)
+        cache = parallel.ResultCache(tmp_path)
+        assert all(cache.load(config) is not None for config in configs)
+
+    def test_worker_killed_while_idle_is_replaced(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_PID_DIR", str(tmp_path))
+        configs = tiny_configs(4)
+        seeds = {config.label(): config.seed for config in configs}
+        killed = []
+
+        def kill_first_worker(done, total, label, cached):
+            if killed:
+                return
+            pid = int((tmp_path / str(seeds[label])).read_text())
+            os.kill(pid, signal.SIGKILL)
+            # Wait for the exit without reaping it, so the engine's next
+            # send to that worker meets a closed pipe.
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            killed.append(pid)
+
+        stats = EngineStats()
+        results = run_configs(
+            configs,
+            jobs=2,
+            runner=pid_recording_runner,
+            progress=kill_first_worker,
+            stats=stats,
+        )
+        assert killed
+        assert [result_to_payload(r) for r in results] == [
+            result_to_payload(run_experiment(config)) for config in configs
+        ]
+        assert stats.computed == len(configs)
+        assert stats.retries <= 1
+
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        sweep = subprocess.Popen([sys.executable, "-c", ORPHANED_SWEEP, str(tmp_path)], env=env)
+        try:
+            assert wait_for(lambda: len(list(tmp_path.iterdir())) == 2)
+        finally:
+            sweep.kill()
+            sweep.wait(timeout=30)
+        workers = [int(path.name) for path in tmp_path.iterdir()]
+        # Each one finishes its cell, finds no parent to report to, and exits.
+        assert wait_for(lambda: not any(running(pid) for pid in workers))
 
 
 class TestCellTimeout:

@@ -3,12 +3,21 @@
 Each cell seeds its own RNGs from its config, so whichever engine runs a
 sweep, the cache root it leaves behind must be byte-identical, and its
 engine counters must tell the truth: a cold pass computes every cell, an
-all-hit re-run computes none.
+all-hit re-run computes none.  The same holds when workers are SIGKILLed
+mid-sweep on a random schedule.
 """
+
+import os
+import random
+import signal
+from pathlib import Path
 
 import pytest
 
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import GridSpec, run_grid
+from repro.experiments.parallel import EngineStats, run_configs
+from repro.experiments.runner import run_experiment
 
 SPEC = GridSpec(cores=(10,), intensities=(30,), strategies=("FIFO", "SEPT", "FC"), seeds=(1, 2))
 TOTAL = 6
@@ -55,3 +64,57 @@ def test_cache_root_matches_serial_local(roots, engine):
     assert len(reference) == TOTAL
     assert sorted(files) == sorted(reference)
     assert [path for path in reference if files[path] != reference[path]] == []
+
+
+
+def kill_once_runner(config):
+    """SIGKILLs its own worker on the first attempt at a cell whose sentinel
+    file is missing, creating the sentinel first so the retry lives.  A test
+    picks the cells that die by the sentinels it leaves out."""
+    sentinel = Path(os.environ["REPRO_TEST_SENTINELS"]) / config.label()
+    if not sentinel.exists():
+        sentinel.write_text("killed")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_experiment(config)
+
+
+#: SPEC's cells as configs, for runs with a custom runner.
+KILL_CONFIGS = [
+    ExperimentConfig(cores=10, intensity=30, policy=strategy, seed=seed)
+    for strategy in SPEC.strategies
+    for seed in SPEC.seeds
+]
+
+
+def _kill_schedule_run(root, spared, jobs):
+    """Run ``KILL_CONFIGS`` through :func:`kill_once_runner` with sentinels
+    for the ``spared`` configs only; the stats and the cache root's files."""
+    sentinels, cache = root / "sentinels", root / "cache"
+    sentinels.mkdir()
+    for config in spared:
+        (sentinels / config.label()).write_text("spared")
+    stats = EngineStats()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_TEST_SENTINELS", str(sentinels))
+        run_configs(KILL_CONFIGS, jobs=jobs, cache_dir=cache, runner=kill_once_runner, stats=stats)
+    return stats, _root_files(cache)
+
+
+@pytest.fixture(scope="module")
+def unkilled(tmp_path_factory):
+    """A serial run with every sentinel pre-created, so nothing dies."""
+    return _kill_schedule_run(tmp_path_factory.mktemp("unkilled"), KILL_CONFIGS, jobs=1)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_random_sigkill_schedule_leaves_the_serial_cache_root(unkilled, tmp_path, seed):
+    rng = random.Random(seed)
+    doomed = set(rng.sample(range(TOTAL), rng.randint(1, TOTAL)))
+    spared = [config for i, config in enumerate(KILL_CONFIGS) if i not in doomed]
+    stats, files = _kill_schedule_run(tmp_path, spared, jobs=2)
+    serial_stats, serial_files = unkilled
+    assert (serial_stats.computed, serial_stats.retries) == (TOTAL, 0)
+    assert (stats.computed, stats.retries) == (TOTAL, len(doomed))
+    assert len(files) == TOTAL
+    assert [path for path in serial_files if files.get(path) != serial_files[path]] == []
+    assert sorted(files) == sorted(serial_files)

@@ -15,13 +15,16 @@ started=$(date +%s)
 
 case "${smoke}" in
   engine)
-    # Parallel engine through the grid CLI, cached re-run.
+    # Parallel engine through the grid CLI, cached re-run.  Six cells on
+    # two workers, so each worker computes and stores several cells.
     faas-sched grid --jobs 2 --cores 4 --intensities 10 \
-      --strategies FIFO SEPT --seeds 1 --cache-dir "${cache}" --no-progress
+      --strategies FIFO SEPT --seeds 1 2 3 --cache-dir "${cache}" --no-progress \
+      | tee engine_cold_smoke.out
+    grep -q "6 computed, 0 from cache" engine_cold_smoke.out
     faas-sched grid --jobs 2 --cores 4 --intensities 10 \
-      --strategies FIFO SEPT --seeds 1 --cache-dir "${cache}" --no-progress \
+      --strategies FIFO SEPT --seeds 1 2 3 --cache-dir "${cache}" --no-progress \
       | tee engine_smoke.out
-    grep -q "0 computed, 2 from cache" engine_smoke.out
+    grep -q "0 computed, 6 from cache" engine_smoke.out
     ;;
   scenario)
     # Non-default scenario through the engine.
