@@ -26,10 +26,11 @@ from repro.node.invoker import NodeCallInfo
 from repro.node.memory import MemoryPool
 from repro.node.pool import ContainerPool
 from repro.sim.cpu import SharedCPU, linear_overhead_efficiency
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout, urgent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.failures.rng import AttemptFault
+    from repro.node.container import Container
     from repro.sim.core import Environment
     from repro.node.config import NodeConfig
     from repro.workload.functions import FunctionSpec
@@ -145,9 +146,12 @@ class BaselineInvoker:
     def _drain(self) -> None:
         """Place queued requests head-first while the greedy algorithm
         succeeds; the head blocks the queue when it cannot be placed
-        (it waits for a freed container or freed memory)."""
+        (it waits for a freed container or freed memory).  Each placed
+        call starts a :class:`_BaselineAttempt`."""
         if not self.live:
             return
+        env = self.env
+        overhead = self.config.invoker_overhead_s
         while self._queue:
             request, info, done, fault = self._queue[0]
             plan = self.pool.acquire(request.function, allow_prewarm=True)
@@ -156,94 +160,155 @@ class BaselineInvoker:
             self._queue.popleft()
             self._running += 1
             self._inflight[done] = info
-            self.env.process(self._run(request, info, done, plan, fault))
-
-    def _run(
-        self,
-        request: "Request",
-        info: NodeCallInfo,
-        done: Event,
-        plan,
-        fault: "Optional[AttemptFault]" = None,
-    ):
-        env = self.env
-        container = plan.container
-        if done.triggered:  # node crashed before this process first ran
-            self.pool.release(container)
-            self._running -= 1
-            return
-        info.dispatched_at = env.now
-        info.start_kind = plan.kind
-        weight = container.memory_mb / _STD_MEMORY_MB
-
-        if self.config.invoker_overhead_s:
-            yield env.timeout(self.config.invoker_overhead_s)
-        if done.triggered:  # node crashed while we slept
-            self.pool.release(container)
-            self._running -= 1
-            return
-
-        if plan.kind == "warm":
-            # Reviving a paused container needs a (cheap) serialized daemon
-            # cycle plus the unpause latency; only *hot* reuse is free.
-            yield from self.daemon.op("dispatch", priority=info.received_at)
-            yield env.timeout(self.config.unpause_latency_s)
-        elif plan.kind == "cold":
-            yield from self.daemon.op("create", priority=info.received_at)
-            yield env.timeout(self.config.cold_init_latency_s)
-            if self.config.cold_init_cpu_s:
-                task = self.cpu.execute(
-                    self.config.cold_init_cpu_s, weight=weight, label="cold-init"
-                )
-                yield task.event
-        elif plan.kind == "prewarm":
-            yield env.timeout(self.config.unpause_latency_s)  # shells sit paused
-            yield env.timeout(self.config.prewarm_init_latency_s)
-            if self.config.prewarm_init_cpu_s:
-                task = self.cpu.execute(
-                    self.config.prewarm_init_cpu_s, weight=weight, label="prewarm-init"
-                )
-                yield task.event
-        container.state = ContainerState.HOT
-
-        # -- execute: CPU share proportional to memory, capped at 1 core --
-        system_work = self.config.system_cpu_coeff_s * max(
-            0, min(self._running, self.config.cores) - 1
-        )
-        if system_work > 0:
-            task = self.cpu.execute(system_work, weight=weight, label="system")
-            yield task.event
-        info.exec_start = env.now
-        io_time = request.io_time if fault is None else fault.scale(request.io_time)
-        cpu_work = request.cpu_work if fault is None else fault.scale(request.cpu_work)
-        if io_time > 0:
-            yield env.timeout(io_time)
-        if cpu_work > 0:
-            task = self.cpu.execute(
-                cpu_work,
-                weight=weight,
-                max_rate=1.0,
-                label=request.function.name,
-            )
-            yield task.event
-        info.exec_end = env.now
-        if done.triggered:  # crashed mid-execution; crash() settled the call
-            self.pool.release(container)
-            self._running -= 1
-            return
-        if fault is not None and fault.kills:
-            info.outcome = "container-kill"
-            self.container_kills += 1
-
-        self.pool.release(container)
-        info.finished_at = env.now
-        self.completed_count += 1
-        self._running -= 1
-        self._inflight.pop(done, None)
-        done.succeed(info)
-        # A container and possibly memory freed: retry the queue head.
-        self._drain()
+            info.dispatched_at = env.now
+            info.start_kind = plan.kind
+            attempt = _BaselineAttempt(self, request, info, done, plan.container, fault)
+            if overhead:
+                Timeout(env, overhead).callbacks.append(attempt.start)
+            else:
+                # The daemon operations and the system work must follow
+                # every placement of this loop: start from an URGENT
+                # entry, after the loop.
+                urgent(env, attempt.start)
 
     # The baseline replenishes its prewarm stock in the background; we
     # model a fixed initial stock only — under the paper's workloads the
     # stock is consumed in the first seconds of a burst either way.
+
+
+class _BaselineAttempt:
+    """One attempt of one call on the stock invoker, run as calendar
+    callbacks, step by step as :class:`~repro.node.invoker._Attempt`:
+
+    1. *dispatch* (:meth:`BaselineInvoker._drain`): ``acquire`` a
+       container, pop the call, ``_running += 1``, stamp
+       ``dispatched_at``; wait the invoker overhead.
+    2. :meth:`start`: crash check, then by the plan's kind: nothing for a
+       hot container; daemon ``dispatch`` then :meth:`unpause` for a warm
+       one; daemon ``create`` for a cold start; the unpause latency for a
+       prewarm shell.
+    3. :meth:`initialise` (cold and prewarm): wait the init latency;
+       :meth:`init_cpu`: run the init CPU work.
+    4. :meth:`placed`: mark the container ``HOT``; run the system work.
+    5. :meth:`execute`: stamp ``exec_start``; wait the call's I/O time.
+    6. :meth:`compute`: run the call's CPU work.
+    7. :meth:`finish`: stamp ``exec_end``; crash check; release the
+       container, respond, and place what the queue holds.
+
+    CPU work runs at a share proportional to the container's memory,
+    capped at one core.
+    """
+
+    __slots__ = ("node", "request", "info", "done", "container", "fault", "weight")
+
+    def __init__(
+        self,
+        node: BaselineInvoker,
+        request: "Request",
+        info: NodeCallInfo,
+        done: Event,
+        container: "Container",
+        fault: "Optional[AttemptFault]",
+    ) -> None:
+        self.node = node
+        self.request = request
+        self.info = info
+        self.done = done
+        self.container = container
+        self.fault = fault
+        self.weight = container.memory_mb / _STD_MEMORY_MB
+
+    def start(self, _event: Event) -> None:
+        node = self.node
+        if self.done.triggered:  # the node crashed meanwhile
+            node.pool.release(self.container)
+            node._running -= 1
+            return
+        kind = self.info.start_kind
+        if kind == "hot":
+            self.placed()
+        elif kind == "warm":
+            # Reviving a paused container needs a (cheap) serialized daemon
+            # cycle plus the unpause latency; only *hot* reuse is free.
+            node.daemon.op("dispatch", self.info.received_at, self.unpause)
+        elif kind == "cold":
+            node.daemon.op("create", self.info.received_at, self.initialise)
+        else:  # "prewarm": shells sit paused
+            Timeout(node.env, node.config.unpause_latency_s).callbacks.append(self.initialise)
+
+    def unpause(self) -> None:
+        node = self.node
+        Timeout(node.env, node.config.unpause_latency_s).callbacks.append(self.placed)
+
+    def initialise(self, _event: Optional[Event] = None) -> None:
+        config = self.node.config
+        if self.info.start_kind == "cold":
+            latency = config.cold_init_latency_s
+        else:
+            latency = config.prewarm_init_latency_s
+        Timeout(self.node.env, latency).callbacks.append(self.init_cpu)
+
+    def init_cpu(self, _event: Event) -> None:
+        node = self.node
+        if self.info.start_kind == "cold":
+            work, label = node.config.cold_init_cpu_s, "cold-init"
+        else:
+            work, label = node.config.prewarm_init_cpu_s, "prewarm-init"
+        if work:
+            task = node.cpu.execute(work, weight=self.weight, label=label)
+            task.event.callbacks.append(self.placed)
+        else:
+            self.placed()
+
+    def placed(self, _event: Optional[Event] = None) -> None:
+        node = self.node
+        self.container.state = ContainerState.HOT
+        config = node.config
+        system_work = config.system_cpu_coeff_s * max(0, min(node._running, config.cores) - 1)
+        if system_work > 0:
+            task = node.cpu.execute(system_work, weight=self.weight, label="system")
+            task.event.callbacks.append(self.execute)
+        else:
+            self.execute()
+
+    def execute(self, _event: Optional[Event] = None) -> None:
+        env = self.node.env
+        self.info.exec_start = env.now
+        request, fault = self.request, self.fault
+        io_time = request.io_time if fault is None else fault.scale(request.io_time)
+        if io_time > 0:
+            Timeout(env, io_time).callbacks.append(self.compute)
+        else:
+            self.compute()
+
+    def compute(self, _event: Optional[Event] = None) -> None:
+        request, fault = self.request, self.fault
+        cpu_work = request.cpu_work if fault is None else fault.scale(request.cpu_work)
+        if cpu_work > 0:
+            task = self.node.cpu.execute(
+                cpu_work, weight=self.weight, max_rate=1.0, label=request.function.name
+            )
+            task.event.callbacks.append(self.finish)
+        else:
+            self.finish()
+
+    def finish(self, _event: Optional[Event] = None) -> None:
+        node = self.node
+        info, done, container = self.info, self.done, self.container
+        info.exec_end = node.env.now
+        if done.triggered:  # crashed mid-execution; crash() settled the call
+            node.pool.release(container)
+            node._running -= 1
+            return
+        fault = self.fault
+        if fault is not None and fault.kills:
+            info.outcome = "container-kill"
+            node.container_kills += 1
+        node.pool.release(container)
+        info.finished_at = node.env.now
+        node.completed_count += 1
+        node._running -= 1
+        node._inflight.pop(done, None)
+        done.succeed(info)
+        # A container and possibly memory freed: retry the queue head.
+        node._drain()

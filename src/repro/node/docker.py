@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from typing import TYPE_CHECKING, Dict, Generator, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -79,12 +79,19 @@ class DockerDaemon:
             raise KeyError(f"unknown docker operation {kind!r}")
         return getattr(self.config, field_name)
 
-    def op(self, kind: str, priority: float | None = None) -> Generator:
-        """A generator performing one serialized operation.
+    def op(
+        self,
+        kind: str,
+        priority: "float | None" = None,
+        then: "Callable[[], None] | None" = None,
+    ) -> None:
+        """Perform one serialized operation, then call *then*.
 
-        Usage (inside a process): ``yield from daemon.op("create")`` or
-        ``yield env.process(daemon.op("remove"))``.  Without an explicit
-        *priority* the operation is served in enqueue-time order.
+        The operation waits for its slot, holds the daemon for its
+        duration, and hands the daemon to the next waiting operation.
+        ``then()`` runs from the callback of the operation's timeout, once
+        the next slot is granted and the counters are updated.  Without an
+        explicit *priority* the operation is served in enqueue-time order.
         """
         duration = self.duration_of(kind)
         env = self.env
@@ -96,17 +103,44 @@ class DockerDaemon:
         else:
             self._busy = True
             slot.succeed()
-        yield slot
-        yield env.timeout(duration)
-        if self._waiting:
-            heappop(self._waiting)[2].succeed()
-        else:
-            self._busy = False
-        self.op_counts[kind] += 1
-        self.busy_seconds += duration
+        slot.callbacks.append(_Op(self, kind, duration, then).serve)
 
     def utilization(self) -> float:
         """Fraction of elapsed time the daemon has been busy."""
         if self.env.now <= 0:
             return 0.0
         return self.busy_seconds / self.env.now
+
+
+class _Op:
+    """One operation between its slot and its end: two calendar steps."""
+
+    __slots__ = ("daemon", "kind", "duration", "then")
+
+    def __init__(
+        self,
+        daemon: DockerDaemon,
+        kind: str,
+        duration: float,
+        then: "Callable[[], None] | None",
+    ) -> None:
+        self.daemon = daemon
+        self.kind = kind
+        self.duration = duration
+        self.then = then
+
+    def serve(self, _slot: Event) -> None:
+        """The daemon turned to this operation: hold it for the duration."""
+        Timeout(self.daemon.env, self.duration).callbacks.append(self.finish)
+
+    def finish(self, _timeout: Timeout) -> None:
+        """Hand the daemon on, count the operation, and continue."""
+        daemon = self.daemon
+        if daemon._waiting:
+            heappop(daemon._waiting)[2].succeed()
+        else:
+            daemon._busy = False
+        daemon.op_counts[self.kind] += 1
+        daemon.busy_seconds += self.duration
+        if self.then is not None:
+            self.then()

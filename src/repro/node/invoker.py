@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
-from repro.node.container import ContainerState
+from repro.node.container import Container, ContainerState
 from repro.node.docker import DockerDaemon
 from repro.node.memory import MemoryPool
 from repro.node.pool import ContainerPool
@@ -22,7 +22,7 @@ from repro.scheduling.policies import SchedulingPolicy
 from repro.scheduling.queue import StablePriorityQueue
 from repro.scheduling.registry import build_policy
 from repro.sim.cpu import DedicatedCPU, SharedCPU, linear_overhead_efficiency
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout, urgent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.failures.rng import AttemptFault
@@ -83,6 +83,12 @@ class Invoker:
     policy_params:
         Declared parameters for a named policy (validated against the
         registry); rejected when *policy* is already an instance.
+
+    Each dispatched call runs as an :class:`_Attempt`, a chain of
+    calendar callbacks.  This node stocks no prewarm shells (only
+    :class:`~repro.node.baseline.BaselineInvoker` calls
+    ``bootstrap_prewarm``), so it acquires with ``allow_prewarm=False``
+    and places every call hot, warm or cold.
     """
 
     is_baseline = False
@@ -197,8 +203,8 @@ class Invoker:
         """Fail this node: every queued and in-flight call completes with
         outcome ``"node-crash"`` (the client retries or migrates it per
         the failure spec) and dispatching stops until :meth:`recover`.
-        Simulation processes already executing attempts notice the
-        triggered ``done`` event at their next wake-up and bail out."""
+        An attempt already dispatched notices the triggered ``done`` event
+        at its next step, frees its core and container, and ends there."""
         self.live = False
         self.node_crashes += 1
         while self.queue:
@@ -224,49 +230,87 @@ class Invoker:
 
     # ------------------------------------------------------------------
     def _maybe_dispatch(self) -> None:
+        """Dispatch queued calls while the busy limit allows: the first
+        step of each call's :class:`_Attempt`."""
         if not self.live:
             return
+        env = self.env
+        overhead = self.config.invoker_overhead_s
         limit = self.config.effective_busy_limit
         while self._busy < limit and self.queue:
             priority, (request, info, done, fault) = self.queue.pop()
             self._busy += 1
             self._inflight[done] = info
-            self.env.process(self._run(request, info, done, priority, fault))
+            info.dispatched_at = env.now
+            attempt = _Attempt(self, request, info, done, priority, fault)
+            if overhead:
+                Timeout(env, overhead).callbacks.append(attempt.arrange)
+            else:
+                # acquire() and the system work must see every dispatch of
+                # this loop: arrange from an URGENT entry, after the loop.
+                urgent(env, attempt.arrange)
 
-    def _run(
+
+class _Attempt:
+    """One attempt of one call on our invoker, run as calendar callbacks.
+
+    Each step is a method; it arms the next one by appending it (a bound
+    method) to the callbacks of the event it waits for, or calls it at
+    once when there is nothing to wait for.  The steps of the call
+    lifecycle (paper Sect. IV), in order:
+
+    1. *dispatch* (:meth:`Invoker._maybe_dispatch`): pop the call,
+       ``_busy += 1``, stamp ``dispatched_at``; wait the invoker overhead.
+    2. :meth:`arrange`: crash check; ``acquire`` a container, or wait
+       ``pause_grace_s`` and retry.  Then the daemon operation of the
+       plan's kind: none for a hot container, ``dispatch`` for a warm
+       one, ``create`` for a cold start.
+    3. :meth:`initialise` (cold only): wait the init latency;
+       :meth:`init_cpu`: run the init CPU work.
+    4. :meth:`placed`: mark the container ``HOT``; crash check; run the
+       system work.
+    5. :meth:`execute`: stamp ``exec_start``; wait the call's I/O time.
+    6. :meth:`compute`: run the call's CPU work.
+    7. :meth:`finish`: stamp ``exec_end``; crash check; release the
+       container, respond, and dispatch the next call.
+    """
+
+    __slots__ = ("node", "request", "info", "done", "priority", "fault", "container")
+
+    def __init__(
         self,
+        node: Invoker,
         request: "Request",
         info: NodeCallInfo,
         done: Event,
         priority: float,
-        fault: "Optional[AttemptFault]" = None,
-    ):
-        env = self.env
-        if done.triggered:  # node crashed before this process first ran
-            self._busy -= 1
-            return
-        info.dispatched_at = env.now
-        if self.config.invoker_overhead_s:
-            yield env.timeout(self.config.invoker_overhead_s)
-        if done.triggered:  # node crashed while we slept
-            self._busy -= 1
-            return
+        fault: "Optional[AttemptFault]",
+    ) -> None:
+        self.node = node
+        self.request = request
+        self.info = info
+        self.done = done
+        self.priority = priority
+        self.fault = fault
+        self.container: Optional[Container] = None
 
-        # -- arrange a container -----------------------------------------
-        plan = self.pool.acquire(request.function)
-        while plan is None:
+    def arrange(self, _event: Event) -> None:
+        node = self.node
+        if self.done.triggered:  # the node crashed meanwhile
+            node._busy -= 1
+            return
+        plan = node.pool.acquire(self.request.function, allow_prewarm=False)
+        if plan is None:
             # Memory exhausted and nothing evictable (all containers busy):
             # wait briefly for a release.  With busy <= cores and bounded
             # per-container memory this is rare by construction.
-            yield env.timeout(self.config.pause_grace_s)
-            if done.triggered:
-                self._busy -= 1
-                return
-            plan = self.pool.acquire(request.function)
-        container = plan.container
-        info.start_kind = plan.kind
-
-        if plan.kind == "warm":
+            Timeout(node.env, node.config.pause_grace_s).callbacks.append(self.arrange)
+            return
+        self.container = plan.container
+        kind = self.info.start_kind = plan.kind
+        if kind == "hot":
+            self.placed()
+        elif kind == "warm":
             # Placing a call on a paused container costs a serialized docker
             # cycle (cpu-limit update + unpause) that enforces the
             # exactly-one-core guarantee.  A *hot* container (released
@@ -274,65 +318,85 @@ class Invoker:
             # which is how SEPT/FC same-function trains stay cheap.  The
             # pipeline serves its operations in call-priority order (it is
             # the same modified invoker that ordered the queue).
-            yield from self.daemon.op("dispatch", priority=priority)
-        elif plan.kind == "cold":
-            yield from self.daemon.op("create", priority=priority)
-            yield env.timeout(self.config.cold_init_latency_s)
-            if self.config.cold_init_cpu_s:
-                task = self.cpu.execute(self.config.cold_init_cpu_s, label="cold-init")
-                yield task.event
-        elif plan.kind == "prewarm":
-            yield from self.daemon.op("dispatch", priority=priority)
-            yield env.timeout(self.config.prewarm_init_latency_s)
-            if self.config.prewarm_init_cpu_s:
-                task = self.cpu.execute(self.config.prewarm_init_cpu_s, label="prewarm-init")
-                yield task.event
-        container.state = ContainerState.HOT
-        if done.triggered:
-            self.pool.release(container)
-            self._busy -= 1
-            return
+            node.daemon.op("dispatch", self.priority, self.placed)
+        else:  # "cold"; without prewarm shells there is no "prewarm"
+            node.daemon.op("create", self.priority, self.initialise)
 
-        # -- execute the call (dedicated core; I/O idles the core) --------
-        system_work = self.config.system_cpu_coeff_s * max(
-            0, min(self._busy, self.config.cores) - 1
-        )
+    def initialise(self) -> None:
+        node = self.node
+        Timeout(node.env, node.config.cold_init_latency_s).callbacks.append(self.init_cpu)
+
+    def init_cpu(self, _event: Event) -> None:
+        node = self.node
+        if node.config.cold_init_cpu_s:
+            task = node.cpu.execute(node.config.cold_init_cpu_s, label="cold-init")
+            task.event.callbacks.append(self.placed)
+        else:
+            self.placed()
+
+    def placed(self, _event: Optional[Event] = None) -> None:
+        node = self.node
+        container = self.container
+        container.state = ContainerState.HOT
+        if self.done.triggered:  # crashed while the container was arranged
+            node.pool.release(container)
+            node._busy -= 1
+            return
+        config = node.config
+        system_work = config.system_cpu_coeff_s * max(0, min(node._busy, config.cores) - 1)
         if system_work > 0:
             # Contention-induced management work (docker exec, cgroup and
             # logging interference with the other busy containers), billed
             # to the call's core.  Happens before the in-container execution
             # window the invoker measures, so the estimator sees the
             # function's own duration (paper Sect. IV).
-            task = self.cpu.execute(system_work, weight=1.0, max_rate=1.0, label="system")
-            yield task.event
-        info.exec_start = env.now
+            task = node.cpu.execute(system_work, weight=1.0, max_rate=1.0, label="system")
+            task.event.callbacks.append(self.execute)
+        else:
+            self.execute()
+
+    def execute(self, _event: Optional[Event] = None) -> None:
+        # The call runs on a dedicated core; its I/O leaves the core idle.
+        env = self.node.env
+        self.info.exec_start = env.now
+        request, fault = self.request, self.fault
         io_time = request.io_time if fault is None else fault.scale(request.io_time)
-        cpu_work = request.cpu_work if fault is None else fault.scale(request.cpu_work)
         if io_time > 0:
-            yield env.timeout(io_time)
+            Timeout(env, io_time).callbacks.append(self.compute)
+        else:
+            self.compute()
+
+    def compute(self, _event: Optional[Event] = None) -> None:
+        request, fault = self.request, self.fault
+        cpu_work = request.cpu_work if fault is None else fault.scale(request.cpu_work)
         if cpu_work > 0:
-            task = self.cpu.execute(
+            task = self.node.cpu.execute(
                 cpu_work, weight=1.0, max_rate=1.0, label=request.function.name
             )
-            yield task.event
-        info.exec_end = env.now
+            task.event.callbacks.append(self.finish)
+        else:
+            self.finish()
+
+    def finish(self, _event: Optional[Event] = None) -> None:
+        node = self.node
+        info, done, container = self.info, self.done, self.container
+        info.exec_end = node.env.now
         if done.triggered:  # crashed mid-execution; crash() settled the call
-            self.pool.release(container)
-            self._busy -= 1
+            node.pool.release(container)
+            node._busy -= 1
             return
+        fault = self.fault
         if fault is not None and fault.kills:
             info.outcome = "container-kill"
-            self.container_kills += 1
-
-        # -- bookkeeping ---------------------------------------------------
+            node.container_kills += 1
         if info.outcome == "ok":
             # Failed attempts teach the estimator nothing: the node never
             # saw the function's own duration.
-            self.policy.on_completed(request, info.processing_time)
-        self.pool.release(container)
-        info.finished_at = env.now
-        self.completed_count += 1
-        self._busy -= 1
-        self._inflight.pop(done, None)
+            node.policy.on_completed(self.request, info.processing_time)
+        node.pool.release(container)
+        info.finished_at = node.env.now
+        node.completed_count += 1
+        node._busy -= 1
+        node._inflight.pop(done, None)
         done.succeed(info)
-        self._maybe_dispatch()
+        node._maybe_dispatch()

@@ -16,11 +16,12 @@ baseline's cheap unpause, or our invoker's serialized dispatch cycle).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import TYPE_CHECKING, List, Literal, Optional
 
 from repro.node.container import Container, ContainerState
-from repro.sim.events import Timeout
+from repro.sim.events import Event, Timeout, urgent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -243,7 +244,9 @@ class ContainerPool:
         self._by_function[container.function.name].remove(container)
         self.memory.release(container.memory_mb)
         self.evictions += 1
-        self.env.process(self.daemon.op("remove"))
+        # The remove asks for the daemon from a zero-delay URGENT entry,
+        # not here: the caller of acquire() issues its own create first.
+        urgent(self.env, self._remove)
 
     def _ensure_memory(self, amount_mb: int) -> bool:
         """Evict idle LRU containers until *amount_mb* fits; False if the
@@ -273,6 +276,9 @@ class ContainerPool:
         container.last_used = self.env.now
         container.pause_version += 1  # invalidate pending pause timers
 
+    def _remove(self, _start: Event) -> None:
+        self.daemon.op("remove")
+
     def _grace_expired(self, grace: Timeout) -> None:
         container, version = grace.value
         if container.pause_version != version or container.busy:
@@ -280,11 +286,10 @@ class ContainerPool:
         if container.state is not _HOT:
             return
         container.state = _PAUSING
-        # Only a pause that must run costs a process.
-        self.env.process(self._pause(container, version))
+        self.daemon.op("pause", None, partial(self._paused, container, version))
 
-    def _pause(self, container: Container, version: int):
-        yield from self.daemon.op("pause")
+    @staticmethod
+    def _paused(container: Container, version: int) -> None:
         if container.pause_version == version and not container.busy:
             if container.state is ContainerState.PAUSING:
                 container.state = ContainerState.PAUSED

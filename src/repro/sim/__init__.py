@@ -1,14 +1,18 @@
 """Discrete-event simulation (DES) kernel.
 
-This subpackage is a self-contained, generator-coroutine based simulation
-kernel in the style of SimPy, written from scratch because the reproduction
-must not depend on packages outside the allowed set.  It holds what the
-simulator runs:
+This subpackage is a self-contained simulation kernel in the style of
+SimPy, written from scratch because the reproduction must not depend on
+packages outside the allowed set.  The per-call path (the platform's client
+and each call's lifecycle on a node) is chains of calendar callbacks;
+generator coroutines drive the cold path only (failure injector,
+autoscaler, Table I's sequential client).  It holds what the simulator
+runs:
 
 * :class:`~repro.sim.core.Environment` — the event calendar and clock, and
   :class:`~repro.sim.core.ReusableTimer` — a re-armable calendar callback;
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout` —
-  one-shot events;
+  one-shot events, and :func:`~repro.sim.events.urgent` — a callback run
+  from a zero-delay ``URGENT`` calendar entry;
 * :class:`~repro.sim.process.Process` — coroutine processes driven by the
   calendar;
 * :class:`~repro.sim.cpu.SharedCPU` — a malleable processor-sharing CPU bank

@@ -5,12 +5,12 @@ from __future__ import annotations
 from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
-from repro.sim.core import NORMAL
+from repro.sim.core import NORMAL, URGENT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
 
-__all__ = ["Event", "Timeout", "PENDING"]
+__all__ = ["Event", "Timeout", "PENDING", "urgent"]
 
 #: Sentinel for "event not yet triggered".
 PENDING = object()
@@ -109,3 +109,15 @@ class Timeout(Event):
         # counter): one Timeout per simulated delay makes this a hot path.
         heappush(env._queue, [env._now + delay, NORMAL, env._next_eid(), self])
         env._live += 1
+
+
+def urgent(env: "Environment", callback: Callable[[Event], None]) -> None:
+    """Run *callback* from a zero-delay ``URGENT`` calendar entry: after
+    the callbacks running now, before any ``NORMAL`` entry at this time.
+    This is the entry that starts a process, without the process."""
+    event = Event(env)
+    event._ok = True
+    event._value = None
+    event.callbacks.append(callback)
+    heappush(env._queue, [env._now, URGENT, env._next_eid(), event])
+    env._live += 1

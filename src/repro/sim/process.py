@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
-from repro.sim.core import URGENT
-from repro.sim.events import Event
+from repro.sim.events import Event, urgent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -35,11 +34,7 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         # Kick off the coroutine at the current time, before normal events.
-        init = Event(env)
-        init._ok = True
-        init._value = None
-        env.schedule(init, priority=URGENT)
-        init.callbacks.append(self._resume)
+        urgent(env, self._resume)
 
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:

@@ -1,9 +1,9 @@
 """Kernel bit-identity acceptance: golden metric fingerprints.
 
 Every registered scenario (crossed with both node models, plus two heavy
-oversubscription stresses, the retrying client's timeout race and
-container kills with stragglers on both node models, and eight fleet
-topologies) must produce
+oversubscription stresses, the retrying client's timeout race, container
+kills with stragglers, a 1 GiB node and a node without invoker overhead
+on both node models, and ten fleet topologies) must produce
 *bit-identical* metrics output — call records, summaries, node and
 balancer diagnostics — to the goldens captured in
 ``tests/data/golden_kernel_fingerprints.json``, both serially and through

@@ -9,8 +9,9 @@ NOT double the peak: streaming memory is bounded by workload
 
 These runs take minutes each, so the whole module is gated behind the
 ``slow`` marker and the ``REPRO_RUN_SLOW`` environment variable; CI runs
-it weekly and on the pull requests that touch the injection path, not on
-every pull request (see .github/workflows/slow.yml).
+it weekly and on the pull requests that touch the injection path or the
+node layer that holds each in-flight call, not on every pull request
+(see .github/workflows/slow.yml).
 """
 
 import importlib.util

@@ -1,13 +1,14 @@
 """Tests for the serialized docker-daemon model."""
 
 from itertools import count
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.node.config import NodeConfig
-from repro.node.docker import DockerDaemon
+from repro.node.docker import DockerDaemon, _Op
 from repro.sim.core import Environment
 from repro.sim.events import Timeout
 
@@ -20,16 +21,17 @@ def setup():
     return env, DockerDaemon(env, config)
 
 
+def at(env, delay, callback):
+    """Call *callback* ``delay`` seconds from now."""
+    Timeout(env, delay).callbacks.append(lambda _event: callback())
+
+
 class TestDockerDaemon:
     def test_single_op_duration(self, setup):
         env, daemon = setup
         done = {}
 
-        def proc(env):
-            yield from daemon.op("create")
-            done["t"] = env.now
-
-        env.process(proc(env))
+        daemon.op("create", then=lambda: done.update(t=env.now))
         env.run()
         assert done["t"] == pytest.approx(1.0)
         assert daemon.op_counts["create"] == 1
@@ -38,12 +40,8 @@ class TestDockerDaemon:
         env, daemon = setup
         finished = []
 
-        def proc(env, kind):
-            yield from daemon.op(kind)
-            finished.append((kind, env.now))
-
-        env.process(proc(env, "create"))
-        env.process(proc(env, "dispatch"))
+        for kind in ("create", "dispatch"):
+            daemon.op(kind, then=lambda kind=kind: finished.append((kind, env.now)))
         env.run()
         # dispatch waits for the 1.0s create, then takes 0.5s.
         assert finished == [("create", pytest.approx(1.0)), ("dispatch", pytest.approx(1.5))]
@@ -52,17 +50,14 @@ class TestDockerDaemon:
         env, daemon = setup
         finished = []
 
-        def proc(env, kind, priority, delay):
-            if delay:
-                yield env.timeout(delay)
-            yield from daemon.op(kind, priority=priority)
-            finished.append(kind)
+        def issue(kind, priority):
+            daemon.op(kind, priority, lambda: finished.append(kind))
 
         # While the first create runs, a low-priority dispatch jumps ahead
         # of an earlier-enqueued high-priority one.
-        env.process(proc(env, "create", 0.0, 0.0))
-        env.process(proc(env, "pause", 100.0, 0.1))
-        env.process(proc(env, "dispatch", 1.0, 0.2))
+        issue("create", 0.0)
+        at(env, 0.1, lambda: issue("pause", 100.0))
+        at(env, 0.2, lambda: issue("dispatch", 1.0))
         env.run()
         assert finished == ["create", "dispatch", "pause"]
 
@@ -70,15 +65,8 @@ class TestDockerDaemon:
         env, daemon = setup
         finished = []
 
-        def proc(env, tag, delay):
-            if delay:
-                yield env.timeout(delay)
-            yield from daemon.op("remove")
-            finished.append(tag)
-
-        env.process(proc(env, "first", 0.0))
-        env.process(proc(env, "second", 0.01))
-        env.process(proc(env, "third", 0.02))
+        for tag, delay in (("first", 0.0), ("second", 0.01), ("third", 0.02)):
+            at(env, delay, lambda tag=tag: daemon.op("remove", then=lambda: finished.append(tag)))
         env.run()
         assert finished == ["first", "second", "third"]
 
@@ -90,11 +78,7 @@ class TestDockerDaemon:
     def test_utilization_and_busy_seconds(self, setup):
         env, daemon = setup
 
-        def proc(env):
-            yield from daemon.op("create")
-            yield env.timeout(1.0)  # idle gap
-
-        env.process(proc(env))
+        daemon.op("create", then=lambda: at(env, 1.0, lambda: None))  # idle gap
         env.run()
         assert daemon.busy_seconds == pytest.approx(1.0)
         assert daemon.utilization() == pytest.approx(0.5)
@@ -102,28 +86,10 @@ class TestDockerDaemon:
     def test_queue_length(self, setup):
         env, daemon = setup
 
-        def worker(env):
-            yield from daemon.op("create")
-
-        env.process(worker(env))
-        env.process(worker(env))
-        env.process(worker(env))
+        for _ in range(3):
+            daemon.op("create")
         env.run(until=0.5)
         assert daemon.queue_length == 2
-
-
-def _observed(op, on_start):
-    """Drive a daemon operation, calling *on_start* when it yields the
-    ``Timeout`` of its service, i.e. when the daemon turns to it."""
-    value = None
-    while True:
-        try:
-            event = op.send(value)
-        except StopIteration:
-            return
-        if isinstance(event, Timeout):
-            on_start()
-        value = yield event
 
 
 #: One operation: kind, arrival (in 1/8 s slots) and an explicit or
@@ -156,8 +122,10 @@ class TestDaemonQueueProperties:
             {} for _ in range(8)
         )
 
-        def client(env, i, kind, slot, priority):
-            yield env.timeout(slot / 8)
+        #: Each operation's ``then`` -> what its client records at start.
+        starting = {}
+
+        def client(i, kind, priority):
             arrived[i], arrival_tick[i] = env.now, next(ticks)
             key[i] = (env.now if priority is None else priority, arrival_tick[i])
 
@@ -165,12 +133,23 @@ class TestDaemonQueueProperties:
                 start[i], start_tick[i] = env.now, next(ticks)
                 queued[i] = daemon.queue_length
 
-            yield from _observed(daemon.op(kind, priority), on_start)
-            end[i], release_tick[i] = env.now, next(ticks)
+            def on_end():
+                end[i], release_tick[i] = env.now, next(ticks)
+
+            starting[on_end] = on_start
+            daemon.op(kind, priority, on_end)
+
+        serve = _Op.serve
+
+        def observed_serve(op, slot):
+            """Arm the operation's timeout, i.e. start its service."""
+            serve(op, slot)
+            starting[op.then]()
 
         for i, (kind, slot, priority) in enumerate(stream):
-            env.process(client(env, i, kind, slot, priority))
-        env.run()
+            at(env, slot / 8, lambda i=i, kind=kind, priority=priority: client(i, kind, priority))
+        with patch.object(_Op, "serve", observed_serve):
+            env.run()
 
         assert len(end) == len(stream) and daemon.queue_length == 0
         served = sorted(range(len(stream)), key=start.__getitem__)

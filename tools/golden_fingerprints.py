@@ -11,9 +11,12 @@ pins that property:
   modified invoker and the stock-OpenWhisk baseline — the latter is the
   oversubscription stress for the processor-sharing CPU bank), plus the
   retrying client on both node models (its timeout race; container kills
-  with stragglers) and the fleet topologies of :func:`cluster_cases`
-  (node crashes under ``crash_inflight="fail"`` and ``"migrate"``, and
-  crashes combined with client timeouts).
+  with stragglers), a 1 GiB node (evictions, and our invoker's wait for
+  memory) and a node without the per-call invoker overhead on both node
+  models, and the fleet topologies of :func:`cluster_cases` (node
+  crashes under ``crash_inflight="fail"`` and ``"migrate"``, crashes
+  combined with client timeouts, and crashes on 1 GiB nodes, where a
+  crash can land while a call's container initialises).
 * :func:`compute_fingerprints` runs each case and hashes the exact
   serialized output (floats serialize via ``repr``, which round-trips
   doubles exactly).
@@ -72,7 +75,8 @@ def _replay_params(tmpdir: Path) -> Dict[str, object]:
 def fingerprint_cases(tmpdir: Path) -> List[Tuple[str, "object"]]:
     """``(label, ExperimentConfig)`` pairs covering every registered
     scenario under both node models, two heavy stresses, the timeout
-    race and container kills with stragglers, then the cluster cases."""
+    race, container kills with stragglers, a 1 GiB node and a node
+    without invoker overhead, then the cluster cases."""
     from repro.experiments.config import ExperimentConfig
     from repro.workload.registry import scenario_names
 
@@ -132,6 +136,29 @@ def fingerprint_cases(tmpdir: Path) -> List[Tuple[str, "object"]]:
                     ),
                 )
             )
+    # A 1 GiB node: placements evict idle containers, and on our invoker
+    # ``acquire`` sometimes frees too little, so the call waits a pause
+    # grace and retries.  Without the per-call overhead, the first step
+    # of each call runs at its dispatch instant.
+    for policy in POLICIES:
+        cases.append(
+            (
+                f"uniform:{policy}:tight-memory",
+                ExperimentConfig(cores=4, intensity=10, policy=policy, seed=1, memory_mb=1024),
+            )
+        )
+        cases.append(
+            (
+                f"uniform:{policy}:no-overhead",
+                ExperimentConfig(
+                    cores=4,
+                    intensity=10,
+                    policy=policy,
+                    seed=1,
+                    node_overrides=(("invoker_overhead_s", 0.0),),
+                ),
+            )
+        )
     return cases + cluster_cases()
 
 
@@ -139,8 +166,8 @@ def cluster_cases() -> List[Tuple[str, "object"]]:
     """Fleet topologies beyond the single node: the paper's Sect. VIII
     cells, two concurrent scale-outs, a heterogeneous fleet, node crashes
     on three nodes and on one (where no crash is ever injected), crashed
-    nodes' calls migrated at once, and crashes combined with client
-    timeouts."""
+    nodes' calls migrated at once, crashes combined with client
+    timeouts, and crashes on three 1 GiB nodes on both node models."""
     from repro.cluster.spec import ClusterSpec
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.fig6_multinode import fig6_config
@@ -215,6 +242,21 @@ def cluster_cases() -> List[Tuple[str, "object"]]:
                     "backoff_base_s": 0.1,
                 },
             ),
+        ),
+        *(
+            (
+                f"cluster:crash-tight-memory:{policy}",
+                ExperimentConfig(
+                    cores=4,
+                    intensity=30,
+                    policy=policy,
+                    seed=1,
+                    memory_mb=1024,
+                    cluster=ClusterSpec(nodes=3),
+                    failures=crashes,
+                ),
+            )
+            for policy in POLICIES
         ),
     ]
 
