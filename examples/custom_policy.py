@@ -15,7 +15,7 @@ Run:
 
 from repro import ExperimentConfig, SchedulingPolicy, run_experiment
 from repro.metrics.report import render_summary_table
-from repro.scheduling.registry import PolicyParam, register_policy
+from repro.scheduling.registry import Param, register_policy
 
 CORES = 10
 INTENSITY = 60
@@ -27,7 +27,7 @@ SEED = 1
     description="SEPT with linear aging: E(p) - aging_rate * r'(i)",
     starvation_free=True,
     params=(
-        PolicyParam(
+        Param(
             "aging_rate",
             0.02,
             "priority decay per second of receipt time; higher favours old calls",

@@ -28,24 +28,20 @@ _EXPORTS = {
     "sebs_catalog": "repro.workload.functions",
     "BurstScenario": "repro.workload.generator",
     "requests_for_intensity": "repro.workload.generator",
-    "ScenarioParam": "repro.workload.registry",
-    "ScenarioRegistry": "repro.workload.registry",
+    "Param": "repro.catalog",
+    "Registry": "repro.catalog",
     "ScenarioSpec": "repro.workload.registry",
     "register_scenario": "repro.workload.registry",
     "build_scenario": "repro.workload.registry",
     "get_scenario": "repro.workload.registry",
     "scenario_names": "repro.workload.registry",
     "replay_scenario": "repro.workload.replay",
-    "POLICIES": "repro.scheduling.policies",
     "SchedulingPolicy": "repro.scheduling.policies",
     "FirstInFirstOut": "repro.scheduling.policies",
     "ShortestExpectedProcessingTime": "repro.scheduling.policies",
     "EarliestExpectedCompletionTime": "repro.scheduling.policies",
     "RecentExpectedCompletionTime": "repro.scheduling.policies",
     "FairChoice": "repro.scheduling.policies",
-    "make_policy": "repro.scheduling.policies",
-    "PolicyParam": "repro.scheduling.registry",
-    "PolicyRegistry": "repro.scheduling.registry",
     "PolicySpec": "repro.scheduling.registry",
     "register_policy": "repro.scheduling.registry",
     "build_policy": "repro.scheduling.registry",
@@ -91,6 +87,7 @@ def __dir__():
 
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
+    from repro.catalog import Param, Registry
     from repro.cluster.autoscaler import AutoscalerConfig
     from repro.cluster.controller import balancer_names, make_balancer
     from repro.cluster.spec import ClusterSpec
@@ -107,18 +104,14 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.metrics.stats import SummaryStats, summarize
     from repro.scheduling.estimator import RuntimeEstimator
     from repro.scheduling.policies import (
-        POLICIES,
         EarliestExpectedCompletionTime,
         FairChoice,
         FirstInFirstOut,
         RecentExpectedCompletionTime,
         SchedulingPolicy,
         ShortestExpectedProcessingTime,
-        make_policy,
     )
     from repro.scheduling.registry import (
-        PolicyParam,
-        PolicyRegistry,
         PolicySpec,
         build_policy,
         get_policy,
@@ -128,8 +121,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.workload.functions import FunctionSpec, sebs_catalog
     from repro.workload.generator import BurstScenario, requests_for_intensity
     from repro.workload.registry import (
-        ScenarioParam,
-        ScenarioRegistry,
         ScenarioSpec,
         build_scenario,
         get_scenario,

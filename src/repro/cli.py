@@ -55,6 +55,7 @@ import sys
 from dataclasses import replace
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.catalog import Registry
 from repro.cluster.controller import balancer_names
 from repro.cluster.spec import ClusterSpec
 from repro.experiments.adaptive import (
@@ -91,8 +92,8 @@ from repro.metrics.compare import (
     compare_results,
 )
 from repro.metrics.report import render_summary_table
-from repro.scheduling.registry import get_policy, policy_names
-from repro.workload.registry import get_scenario, scenario_names
+from repro.scheduling.registry import POLICY_REGISTRY, policy_names
+from repro.workload.registry import SCENARIOS, get_scenario, scenario_names
 
 __all__ = ["main", "build_parser"]
 
@@ -689,46 +690,21 @@ def _grid_spec_from_args(args: argparse.Namespace) -> GridSpec:
     return replace(spec, **overrides) if overrides else spec
 
 
-def _render_policies() -> str:
-    """The ``faas-sched policies`` listing, straight from the registry."""
+def _render_catalog(registry: Registry, note: str = "") -> str:
+    """The ``faas-sched policies``/``scenarios`` listing, straight from
+    the registry; *note* ends its last line."""
+    kind = registry.spec_type.kind
     lines = []
-    for name in policy_names():
-        spec = get_policy(name)
-        traits = [spec.paper_section]
-        if spec.starvation_free:
-            traits.append("starvation-free")
-        lines.append(f"{name}  [{', '.join(traits)}]")
+    for spec in registry:
+        lines.append(f"{spec.name}  [{', '.join(spec.traits())}]")
         lines.append(f"    {spec.description}")
         for param in spec.params:
             default = "(required)" if param.required else f"default: {param.default!r}"
-            lines.append(f"    --policy-param {param.name}=...  {default}")
+            lines.append(f"    --{kind}-param {param.name}=...  {default}")
             if param.doc:
                 lines.append(f"        {param.doc}")
     lines.append("")
-    lines.append(
-        "run one with: faas-sched simulate --policy NAME "
-        "[--policy-param K=V ...]; 'baseline' selects the stock invoker"
-    )
-    return "\n".join(lines)
-
-
-def _render_scenarios() -> str:
-    """The ``faas-sched scenarios`` listing, straight from the registry."""
-    lines = []
-    for name in scenario_names():
-        spec = get_scenario(name)
-        lines.append(f"{name}  [{spec.paper_section}]")
-        lines.append(f"    {spec.description}")
-        for param in spec.params:
-            default = "(required)" if param.required else f"default: {param.default!r}"
-            lines.append(f"    --scenario-param {param.name}=...  {default}")
-            if param.doc:
-                lines.append(f"        {param.doc}")
-    lines.append("")
-    lines.append(
-        "run one with: faas-sched simulate --scenario NAME "
-        "[--scenario-param K=V ...]"
-    )
+    lines.append(f"run one with: faas-sched simulate --{kind} NAME [--{kind}-param K=V ...]{note}")
     return "\n".join(lines)
 
 
@@ -1015,11 +991,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "scenarios":
-        print(_render_scenarios())
+        print(_render_catalog(SCENARIOS))
         return 0
 
     if args.command == "policies":
-        print(_render_policies())
+        print(_render_catalog(POLICY_REGISTRY, "; 'baseline' selects the stock invoker"))
         return 0
 
     if args.command == "cache":

@@ -18,6 +18,10 @@ balancers:
   spilling over a deterministic hash ring when every warm holder is
   overloaded.
 
+Each is an entry of :data:`BALANCERS`, a :class:`~repro.catalog.Registry`
+that declares its constructor parameters with units (catalogued in
+docs/BALANCERS.md).
+
 Every balancer counts its routing decisions in :class:`BalancerStats`
 (picks, spills) so experiment results can report per-cluster routing
 quality; the :class:`~repro.cluster.platform.FaaSPlatform` increments
@@ -27,10 +31,11 @@ quality; the :class:`~repro.cluster.platform.FaaSPlatform` increments
 
 from __future__ import annotations
 
-import inspect
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Type
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
+
+from repro.catalog import RUNTIME, Param, Registry, Spec, require_number
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.functions import FunctionSpec
@@ -44,9 +49,9 @@ __all__ = [
     "HashOverflowBalancer",
     "PowerOfDChoicesBalancer",
     "LocalityBalancer",
+    "BalancerSpec",
     "BALANCERS",
     "balancer_names",
-    "balancer_param_names",
     "make_balancer",
     "validate_balancer_params",
 ]
@@ -79,17 +84,42 @@ class BalancerStats:
         }
 
 
-def _is_int(value: Any) -> bool:
-    """True for genuine integers (bool is technically int but never what
-    a balancer parameter means)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+@dataclass(frozen=True)
+class BalancerSpec(Spec):
+    """A registered balancer flavour: its class plus catalog metadata."""
+
+    kind = "balancer"
 
 
-def _check_capacity_factor(value: Any) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"capacity_factor must be a number, got {value!r}")
-    if value <= 0:
+#: Registry of balancer flavours by name.
+BALANCERS: Registry[BalancerSpec] = Registry(BalancerSpec, "balancers")
+
+#: Sorted names of every registered balancer flavour.
+balancer_names = BALANCERS.names
+
+#: ``capacity_factor`` of the spilling balancers.
+_CAPACITY_FACTOR = Param(
+    "capacity_factor",
+    2.0,
+    "outstanding calls per core (calls/core) above which an invoker counts "
+    "as overloaded and a call spills to the next invoker on the ring",
+)
+
+
+def _check_capacity_factor(balancer: str, capacity_factor: Any) -> None:
+    if require_number("balancer", balancer, "capacity_factor", capacity_factor) <= 0:
         raise ValueError("capacity_factor must be positive")
+
+
+def _check_sampling(d: Any, seed: Any = 0) -> None:
+    # Exact type checks, not coercion: d=2.5 would silently truncate
+    # while the cache fingerprint kept the untruncated value, so
+    # distinct fingerprints would simulate identically.  bool is an int
+    # but never what a balancer parameter means.
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
 class LoadBalancer:
@@ -112,6 +142,7 @@ class LoadBalancer:
         raise NotImplementedError
 
 
+@BALANCERS.register("round-robin", description="cyclic assignment")
 class RoundRobinBalancer(LoadBalancer):
     name = "round-robin"
 
@@ -125,6 +156,11 @@ class RoundRobinBalancer(LoadBalancer):
         return index
 
 
+@BALANCERS.register(
+    "least-loaded",
+    description="fewest outstanding calls, ties by invoker index",
+    paper_section="VIII",
+)
 class LeastLoadedBalancer(LoadBalancer):
     name = "least-loaded"
 
@@ -134,11 +170,14 @@ class LeastLoadedBalancer(LoadBalancer):
         )
 
 
-class _ThresholdMixin:
+class _SpillingBalancer(LoadBalancer):
     """Shared overload threshold and deterministic hash-ring walk for the
     spilling balancers (``capacity_factor`` x cores outstanding calls)."""
 
-    capacity_factor: float
+    def __init__(self, invokers: Sequence, capacity_factor: float = 2.0) -> None:
+        super().__init__(invokers)
+        _check_capacity_factor(self.name, capacity_factor)
+        self.capacity_factor = capacity_factor
 
     def _threshold(self, invoker) -> float:
         return self.capacity_factor * invoker.config.cores
@@ -154,7 +193,16 @@ class _ThresholdMixin:
         return min(range(n), key=lambda i: (invokers[i].outstanding, i))
 
 
-class HashOverflowBalancer(_ThresholdMixin, LoadBalancer):
+@BALANCERS.register(
+    "hash-overflow",
+    description=(
+        "OpenWhisk's sharding pool: home invoker by function-name hash, "
+        "spill along a ring when the home is overloaded"
+    ),
+    params=(_CAPACITY_FACTOR,),
+    validator=lambda params: _check_capacity_factor("hash-overflow", **params),
+)
+class HashOverflowBalancer(_SpillingBalancer):
     """Home invoker by function-name hash, spill on overload.
 
     ``capacity_factor`` scales each node's nominal concurrency (its core
@@ -166,11 +214,6 @@ class HashOverflowBalancer(_ThresholdMixin, LoadBalancer):
 
     name = "hash-overflow"
 
-    def __init__(self, invokers: Sequence, capacity_factor: float = 2.0) -> None:
-        super().__init__(invokers)
-        _check_capacity_factor(capacity_factor)
-        self.capacity_factor = capacity_factor
-
     def pick(self, request: "Request") -> int:
         home = _stable_hash(request.function.name) % len(self.invokers)
         index = self._ring_pick(self.invokers, home)
@@ -179,6 +222,19 @@ class HashOverflowBalancer(_ThresholdMixin, LoadBalancer):
         return index
 
 
+@BALANCERS.register(
+    "power-of-d",
+    description="join the shortest of d invokers sampled per call",
+    params=(
+        Param("d", 2, "invokers sampled per call (count, >= 1)"),
+        Param(
+            "seed",
+            RUNTIME,
+            "sampling PRNG seed (integer); by default the experiment's root seed",
+        ),
+    ),
+    validator=lambda params: _check_sampling(**params),
+)
 class PowerOfDChoicesBalancer(LoadBalancer):
     """Join-shortest-of-d: sample ``d`` distinct invokers, pick the least
     loaded of the sample (ties by index).
@@ -201,13 +257,7 @@ class PowerOfDChoicesBalancer(LoadBalancer):
 
     def __init__(self, invokers: Sequence, d: int = 2, seed: int = 1) -> None:
         super().__init__(invokers)
-        # Exact type checks, not coercion: d=2.5 would silently truncate
-        # while the cache fingerprint kept the untruncated value, so
-        # distinct fingerprints would simulate identically.
-        if not _is_int(d) or d < 1:
-            raise ValueError(f"d must be an integer >= 1, got {d!r}")
-        if not _is_int(seed):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
+        _check_sampling(d, seed)
         self.d = d
         self._rng = random.Random(seed)
 
@@ -220,7 +270,16 @@ class PowerOfDChoicesBalancer(LoadBalancer):
         return min(candidates, key=lambda i: (self.invokers[i].outstanding, i))
 
 
-class LocalityBalancer(_ThresholdMixin, LoadBalancer):
+@BALANCERS.register(
+    "locality",
+    description=(
+        "warm-container affinity: prefer invokers holding an idle warm "
+        "container for the function, spill along a hash ring otherwise"
+    ),
+    params=(_CAPACITY_FACTOR,),
+    validator=lambda params: _check_capacity_factor("locality", **params),
+)
+class LocalityBalancer(_SpillingBalancer):
     """Warm-container affinity with deterministic overflow.
 
     Prefers invokers that already hold an idle warm container for the
@@ -244,11 +303,6 @@ class LocalityBalancer(_ThresholdMixin, LoadBalancer):
     """
 
     name = "locality"
-
-    def __init__(self, invokers: Sequence, capacity_factor: float = 2.0) -> None:
-        super().__init__(invokers)
-        _check_capacity_factor(capacity_factor)
-        self.capacity_factor = capacity_factor
 
     @staticmethod
     def _warm_count(invoker, spec: "FunctionSpec") -> int:
@@ -278,92 +332,16 @@ class LocalityBalancer(_ThresholdMixin, LoadBalancer):
         return self._ring_pick(self.invokers, _stable_hash(spec.name) % n)
 
 
-#: Registry of balancer flavours by name.
-BALANCERS: Dict[str, Type[LoadBalancer]] = {
-    cls.name: cls
-    for cls in (
-        RoundRobinBalancer,
-        LeastLoadedBalancer,
-        HashOverflowBalancer,
-        PowerOfDChoicesBalancer,
-        LocalityBalancer,
-    )
-}
-
-
-def balancer_names() -> List[str]:
-    """Sorted names of every registered balancer flavour."""
-    return sorted(BALANCERS)
-
-
-def balancer_param_names(name: str) -> List[str]:
-    """The constructor parameters balancer *name* declares (beyond the
-    invoker list) — what a sweep may legitimately pass it."""
-    return sorted(_declared_params(_balancer_class(name)))
-
-
-def _balancer_class(name: str) -> Type[LoadBalancer]:
-    cls = BALANCERS.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown balancer {name!r}; available: {', '.join(balancer_names())}"
-        )
-    return cls
-
-
-def _declared_params(cls: Type[LoadBalancer]) -> Dict[str, inspect.Parameter]:
-    """Constructor keyword parameters beyond ``self``/``invokers``."""
-    parameters = dict(inspect.signature(cls.__init__).parameters)
-    parameters.pop("self", None)
-    parameters.pop("invokers", None)
-    return parameters
-
-
-class _ProbeInvoker:
-    """Inert stand-in used to run constructor-time validation."""
-
-    outstanding = 0
-
-
 def validate_balancer_params(
     name: str, params: Optional[Mapping[str, Any]] = None
 ) -> Dict[str, Any]:
     """Validate balancer *name* and constructor *params*, returning the
-    params merged over the constructor's declared defaults.
-
-    Unknown names and parameters raise :class:`ValueError` listing what
-    *is* available; value errors (``capacity_factor=0``, ``d=0``) surface
-    from a probe construction, so a bad cluster configuration fails when
-    the config is built, not minutes into a sweep.  ``seed`` is excluded
-    from the merged defaults: it is injected at run time from the
-    experiment's root seed unless the caller pinned it explicitly.
-    """
-    cls = _balancer_class(name)
-    params = dict(params) if params else {}
-    declared = _declared_params(cls)
-    unknown = sorted(set(params) - set(declared))
-    if unknown:
-        valid = ", ".join(sorted(declared)) or "(none)"
-        raise ValueError(
-            f"unknown parameter(s) {unknown} for balancer {name!r}; "
-            f"valid parameters: {valid}"
-        )
-    try:
-        cls([_ProbeInvoker()], **params)  # value checks (raises ValueError)
-    except TypeError as exc:
-        # A constructor tripping over a wrong-typed value (e.g. comparing
-        # str to int) must still surface as the validation error the
-        # config layer and the CLI promise to handle.
-        raise ValueError(
-            f"invalid parameter value for balancer {name!r}: {exc}"
-        ) from exc
-    merged = {
-        pname: parameter.default
-        for pname, parameter in declared.items()
-        if pname != "seed" and parameter.default is not inspect.Parameter.empty
-    }
-    merged.update(params)
-    return merged
+    params merged over the declared defaults (see
+    :meth:`~repro.catalog.Spec.validate_params`), so a bad cluster
+    configuration fails when the config is built, not minutes into a
+    sweep.  ``seed`` is not merged in: it is filled at run time from the
+    experiment's root seed unless the caller pinned it explicitly."""
+    return BALANCERS.get(name).validate_params(params)
 
 
 def make_balancer(
@@ -376,10 +354,10 @@ def make_balancer(
     one in ``kwargs`` — so an experiment's root seed drives the sampling
     PRNG by default while an explicit ``seed`` balancer param pins it.
     """
-    cls = _balancer_class(name)
-    if seed is not None and "seed" in _declared_params(cls) and "seed" not in kwargs:
+    spec = BALANCERS.get(name)
+    if seed is not None and "seed" in spec.param_names() and "seed" not in kwargs:
         kwargs = {**kwargs, "seed": seed}
-    return cls(invokers, **kwargs)
+    return spec.builder(invokers, **kwargs)
 
 
 def _stable_hash(name: str) -> int:

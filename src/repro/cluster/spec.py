@@ -18,44 +18,17 @@ stay hashable and their JSON form is one-to-one with their content.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.catalog import Pairs, freeze_pairs
 from repro.cluster.autoscaler import AutoscalerConfig
 from repro.cluster.controller import validate_balancer_params
 from repro.node.config import NodeConfig
 
 __all__ = ["ClusterSpec", "DEFAULT_CLUSTER"]
 
-#: Canonical pair-tuple form shared by every parameter field.
-Pairs = Tuple[Tuple[str, Any], ...]
-ParamsLike = Union[Mapping[str, Any], Sequence[Tuple[str, Any]], None]
-
 _NODE_FIELDS = frozenset(f.name for f in fields(NodeConfig))
 _AUTOSCALER_FIELDS = tuple(f.name for f in fields(AutoscalerConfig))
-
-
-def _freeze_value(name: str, value: Any) -> Any:
-    """Hashable, JSON-stable parameter values (see the identical rule for
-    scenario params): scalars pass through, lists become tuples, anything
-    else is rejected up front."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze_value(name, item) for item in value)
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    raise ValueError(
-        f"cluster parameter {name!r} has unsupported value type "
-        f"{type(value).__name__}; use JSON scalars or lists"
-    )
-
-
-def _freeze_pairs(params: ParamsLike) -> Pairs:
-    """Normalise a mapping or pair sequence to name-sorted pair tuples
-    (duplicates resolve last-wins, sorting compares names only)."""
-    if not params:
-        return ()
-    items = params.items() if isinstance(params, Mapping) else params
-    deduped = {str(name): _freeze_value(str(name), value) for name, value in items}
-    return tuple(sorted(deduped.items()))
 
 
 @dataclass(frozen=True)
@@ -69,11 +42,12 @@ class ClusterSpec:
         their defaults is the paper's single-node experiment.
     balancer:
         Name of a registered load-balancer flavour (see
-        :data:`repro.cluster.controller.BALANCERS`).
+        :data:`repro.cluster.controller.BALANCERS` and docs/BALANCERS.md).
     balancer_params:
         Balancer constructor kwargs as ``(name, value)`` pairs (a mapping
-        is accepted); validated against the constructor and merged with
-        its declared defaults, so the cache fingerprint covers defaults.
+        is accepted); validated against the balancer's declared parameters
+        and merged with their defaults, so the cache fingerprint covers
+        defaults.
         Balancers with a ``seed`` parameter receive the experiment's root
         seed at run time unless ``seed`` is pinned here.
     node_overrides:
@@ -98,14 +72,13 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.nodes < 1:
             raise ValueError(f"nodes must be >= 1, got {self.nodes!r}")
-        merged = validate_balancer_params(
-            self.balancer, dict(_freeze_pairs(self.balancer_params))
-        )
-        object.__setattr__(self, "balancer_params", _freeze_pairs(merged))
+        supplied = freeze_pairs(self.balancer_params, "balancer")
+        merged = validate_balancer_params(self.balancer, supplied)
+        object.__setattr__(self, "balancer_params", freeze_pairs(merged, "balancer"))
         object.__setattr__(
             self,
             "node_overrides",
-            tuple(_freeze_pairs(entry) for entry in self.node_overrides),
+            tuple(freeze_pairs(entry, "cluster") for entry in self.node_overrides),
         )
         if self.node_overrides and len(self.node_overrides) != self.nodes:
             raise ValueError(
@@ -120,7 +93,7 @@ class ClusterSpec:
                     f"valid fields: {', '.join(sorted(_NODE_FIELDS))}"
                 )
         if self.autoscaler is not None:
-            supplied = dict(_freeze_pairs(self.autoscaler))
+            supplied = dict(freeze_pairs(self.autoscaler, "cluster"))
             unknown = sorted(set(supplied) - set(_AUTOSCALER_FIELDS))
             if unknown:
                 raise ValueError(
@@ -131,7 +104,7 @@ class ClusterSpec:
             # cache fingerprint cover the defaults too.
             config = AutoscalerConfig(**supplied)
             merged_auto = {name: getattr(config, name) for name in _AUTOSCALER_FIELDS}
-            object.__setattr__(self, "autoscaler", _freeze_pairs(merged_auto))
+            object.__setattr__(self, "autoscaler", freeze_pairs(merged_auto, "cluster"))
 
     # ------------------------------------------------------------------
     @property
@@ -195,32 +168,9 @@ class ClusterSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ClusterSpec":
-        """Inverse of :meth:`to_dict` (construction re-validates)."""
-        return cls(
-            nodes=payload["nodes"],
-            balancer=payload["balancer"],
-            balancer_params=tuple(
-                (name, _untuple(value)) for name, value in payload["balancer_params"]
-            ),
-            node_overrides=tuple(
-                tuple((name, _untuple(value)) for name, value in entry)
-                for entry in payload["node_overrides"]
-            ),
-            autoscaler=(
-                None
-                if payload["autoscaler"] is None
-                else tuple(
-                    (name, _untuple(value)) for name, value in payload["autoscaler"]
-                )
-            ),
-        )
-
-
-def _untuple(value: Any) -> Any:
-    """JSON turns tuples into lists; restore tuples recursively."""
-    if isinstance(value, list):
-        return tuple(_untuple(item) for item in value)
-    return value
+        """Inverse of :meth:`to_dict` (construction re-validates and
+        freezes the lists back into pairs)."""
+        return cls(**payload)
 
 
 #: The classic single-node topology (shared instance; ClusterSpec is frozen).

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
+from repro.catalog import Pairs
 from repro.experiments.config import BASELINE
 from repro.experiments.grid import (
     FIGURE_CORES,
@@ -35,10 +36,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Table II — FIFO/baseline makespan ratios
 # ----------------------------------------------------------------------
-ScenarioParams = Tuple[Tuple[str, object], ...]
-
-
-def _scenario_tag(scenario: str, params: ScenarioParams = ()) -> str:
+def _scenario_tag(scenario: str, params: Pairs = ()) -> str:
     """Title suffix when a report's grid ran under a workload override —
     the override (name *and* parameters) changes what the numbers mean,
     so every view says so."""
@@ -84,7 +82,7 @@ class Table2Result:
 
     ranges: Dict[Tuple[int, int], Tuple[float, float]]
     scenario: str = "uniform"
-    scenario_params: ScenarioParams = ()
+    scenario_params: Pairs = ()
     cluster_tag: str = ""
 
     def render(self) -> str:
@@ -210,7 +208,7 @@ class FigureBoxes:
     metric: str  # "response_time" | "stretch"
     boxes: Dict[Tuple[int, int, str], BoxStats]
     scenario: str = "uniform"
-    scenario_params: ScenarioParams = ()
+    scenario_params: Pairs = ()
     cluster_tag: str = ""
 
     def render(self) -> str:

@@ -16,8 +16,9 @@ before any simulation time is spent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Mapping, Tuple, Union
+from typing import Any, Dict, Mapping
 
+from repro.catalog import Pairs, freeze_pairs
 from repro.cluster.spec import DEFAULT_CLUSTER, ClusterSpec
 from repro.failures.spec import FAILURE_NONE, FailureSpec
 from repro.node.config import NodeConfig
@@ -28,37 +29,6 @@ __all__ = ["ExperimentConfig", "BASELINE"]
 
 #: Pseudo-policy name selecting the stock OpenWhisk invoker.
 BASELINE = "baseline"
-
-#: Scenario parameters as stored on a config: sorted ``(name, value)`` pairs.
-ScenarioParams = Tuple[Tuple[str, Any], ...]
-
-
-def _freeze(name: str, value: Any) -> Any:
-    """Recursively turn lists into tuples so parameter values are hashable
-    and JSON round-trips (which turn tuples into lists) stay canonical;
-    reject value types (mappings, arbitrary objects) that would defeat
-    hashability or surface as confusing errors inside workers."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(name, item) for item in value)
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    raise ValueError(
-        f"scenario parameter {name!r} has unsupported value type "
-        f"{type(value).__name__}; use JSON scalars or lists"
-    )
-
-
-def _freeze_params(params: Union[Mapping[str, Any], ScenarioParams, None]) -> ScenarioParams:
-    """Normalise scenario params (mapping or pair sequence) to name-sorted,
-    hashable ``(name, value)`` tuples — one canonical form per content.
-    Duplicate names resolve last-wins (like repeated CLI flags) before
-    sorting, and sorting compares names only, never values."""
-    if not params:
-        return ()
-    items = params.items() if isinstance(params, Mapping) else params
-    deduped = {str(name): _freeze(str(name), value) for name, value in items}
-    return tuple(sorted(deduped.items()))
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -104,7 +74,8 @@ class ExperimentConfig:
         burst (the paper always warms; disable to study cold behaviour).
     node_overrides:
         Extra :class:`~repro.node.config.NodeConfig` fields (ablations),
-        applied to every node of the fleet.
+        applied to every node of the fleet, as ``(name, value)`` pairs (a
+        mapping is accepted and normalised).
     cluster:
         The fleet topology (:class:`~repro.cluster.spec.ClusterSpec`):
         node count, per-node overrides, balancer flavour + kwargs,
@@ -138,11 +109,11 @@ class ExperimentConfig:
     seed: int = 1
     memory_mb: int = 32768
     scenario: str = "uniform"
-    scenario_params: ScenarioParams = ()
-    policy_params: ScenarioParams = ()
+    scenario_params: Pairs = ()
+    policy_params: Pairs = ()
     warmup: bool = True
     window_s: float = 60.0
-    node_overrides: Tuple[Tuple[str, Any], ...] = ()
+    node_overrides: Pairs = ()
     cluster: ClusterSpec = DEFAULT_CLUSTER
     failures: FailureSpec = FAILURE_NONE
     retain_records: bool = True
@@ -155,13 +126,13 @@ class ExperimentConfig:
         # and so the cache fingerprint covers the defaults: editing a
         # builder's default in code changes every affected fingerprint
         # instead of silently serving results computed under the old one.
-        supplied = _freeze_params(self.scenario_params)
-        merged = get_scenario(self.scenario).validate_params(dict(supplied))
-        object.__setattr__(self, "scenario_params", _freeze_params(merged))
+        supplied = freeze_pairs(self.scenario_params, "scenario")
+        merged = get_scenario(self.scenario).validate_params(supplied)
+        object.__setattr__(self, "scenario_params", freeze_pairs(merged, "scenario"))
         # The scheduling policy validates the same way against the policy
         # registry (an unknown name lists what is registered); "baseline"
         # is the stock invoker and declares no parameters.
-        supplied_policy = _freeze_params(self.policy_params)
+        supplied_policy = freeze_pairs(self.policy_params, "policy")
         if self.is_baseline:
             if supplied_policy:
                 raise ValueError(
@@ -173,10 +144,11 @@ class ExperimentConfig:
             # hashable and one-form-per-content.
             object.__setattr__(self, "policy_params", supplied_policy)
         else:
-            merged_policy = get_policy(self.policy).validate_params(
-                dict(supplied_policy)
-            )
-            object.__setattr__(self, "policy_params", _freeze_params(merged_policy))
+            merged_policy = get_policy(self.policy).validate_params(supplied_policy)
+            object.__setattr__(self, "policy_params", freeze_pairs(merged_policy, "policy"))
+        # Node overrides freeze the same way; their names are checked when
+        # the node configuration is materialised (node_config()).
+        object.__setattr__(self, "node_overrides", freeze_pairs(self.node_overrides, "node"))
         # The cluster topology normalises the same way: a mapping (or
         # None) becomes a validated ClusterSpec, so every equal topology
         # has exactly one stored — and fingerprinted — form.

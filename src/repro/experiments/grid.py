@@ -152,8 +152,8 @@ class GridSpec:
         declares is a typo and is rejected outright.
 
         Memoized per spec: grid views look topologies up per cell, and
-        validation (signature probing + a probe construction per variant)
-        is too heavy to repeat O(cells) times on a frozen value.
+        building and validating one ClusterSpec per variant is too heavy
+        to repeat O(cells) times on a frozen value.
         """
         cached = getattr(self, "_variants_cache", None)
         if cached is not None:
@@ -165,9 +165,9 @@ class GridSpec:
         return variants
 
     def _build_cluster_variants(self) -> Tuple[ClusterSpec, ...]:
-        from repro.cluster.controller import balancer_param_names
+        from repro.cluster.controller import BALANCERS
 
-        declared_by = {name: set(balancer_param_names(name)) for name in self.balancers}
+        declared_by = {name: set(BALANCERS.get(name).param_names()) for name in self.balancers}
         supplied = {name for name, _ in self.balancer_params}
         unknown = sorted(supplied - set().union(*declared_by.values(), set()))
         if unknown:
@@ -199,13 +199,11 @@ class GridSpec:
         a supplied parameter no swept strategy declares — both before any
         simulation time is spent.
         """
-        from repro.scheduling.registry import policy_param_names
+        from repro.scheduling.registry import get_policy
 
         declared_by = {
             strategy: (
-                set()
-                if strategy.lower() == BASELINE
-                else set(policy_param_names(strategy))
+                set() if strategy.lower() == BASELINE else set(get_policy(strategy).param_names())
             )
             for strategy in self.strategies
         }

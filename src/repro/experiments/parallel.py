@@ -48,9 +48,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, TextIO, Tuple, Union
 
 import repro
-from repro.cluster.spec import ClusterSpec
 from repro.experiments.config import ExperimentConfig
-from repro.failures.spec import FailureSpec
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.metrics.serialize import records_from_columns, records_to_columns
 from repro.metrics.streaming import SummaryAccumulator
@@ -93,8 +91,8 @@ CACHE_SCHEMA_VERSION = 8
 # ----------------------------------------------------------------------
 # Config / result serialization and fingerprinting
 # ----------------------------------------------------------------------
-#: Config fields holding ``(name, value)`` pair tuples that JSON would
-#: flatten ambiguously; serialized as lists-of-lists and re-tupled on load.
+#: Config fields holding ``(name, value)`` pair tuples, serialized as
+#: lists-of-lists.
 _PAIR_FIELDS = ("node_overrides", "scenario_params", "policy_params")
 
 
@@ -112,29 +110,14 @@ def config_to_dict(config: ExperimentConfig) -> Dict[str, Any]:
     return {"type": _CONFIG_TYPE, "fields": data}
 
 
-def _untuple(value: Any) -> Any:
-    """JSON turns tuples into lists; restore tuples recursively so a config
-    round-trips equal to the original (override values are tuples or
-    scalars in practice)."""
-    if isinstance(value, list):
-        return tuple(_untuple(item) for item in value)
-    return value
-
-
 def config_from_dict(payload: Dict[str, Any]) -> ExperimentConfig:
     """Inverse of :func:`config_to_dict`; any other type tag raises
-    :class:`ValueError` (a cache entry then loads as a miss)."""
+    :class:`ValueError` (a cache entry then loads as a miss).  Construction
+    freezes the lists-of-lists back into pairs and the ``cluster`` and
+    ``failures`` dicts back into their specs."""
     if payload["type"] != _CONFIG_TYPE:
         raise ValueError(f"unknown config type {payload['type']!r}")
-    data = dict(payload["fields"])
-    for name in _PAIR_FIELDS:
-        if name in data:
-            data[name] = tuple((key, _untuple(value)) for key, value in data[name])
-    if isinstance(data.get("cluster"), dict):
-        data["cluster"] = ClusterSpec.from_dict(data["cluster"])
-    if isinstance(data.get("failures"), dict):
-        data["failures"] = FailureSpec.from_dict(data["failures"])
-    return ExperimentConfig(**data)
+    return ExperimentConfig(**payload["fields"])
 
 
 def config_fingerprint(config: ExperimentConfig, *, namespace: str = "") -> str:

@@ -18,26 +18,19 @@
 
 from repro.scheduling.estimator import RuntimeEstimator
 from repro.scheduling.policies import (
-    POLICIES,
     EarliestExpectedCompletionTime,
     FairChoice,
     FirstInFirstOut,
     RecentExpectedCompletionTime,
     SchedulingPolicy,
     ShortestExpectedProcessingTime,
-    make_policy,
 )
-from repro.scheduling.extra import (
-    EXTRA_POLICIES,
-    ClairvoyantSPT,
-    EtasLike,
-    RoundRobinPerFunction,
-)
+from repro.scheduling.extra import ClairvoyantSPT, EtasLike, RoundRobinPerFunction
 from repro.scheduling.parametric import HybridFairCompletion, SmoothedSEPT
 from repro.scheduling.queue import StablePriorityQueue
 from repro.scheduling.registry import (
     POLICY_REGISTRY,
-    PolicyParam,
+    Param,
     PolicySpec,
     build_policy,
     get_policy,
@@ -49,13 +42,11 @@ __all__ = [
     "ClairvoyantSPT",
     "EarliestExpectedCompletionTime",
     "EtasLike",
-    "EXTRA_POLICIES",
     "FairChoice",
     "FirstInFirstOut",
     "HybridFairCompletion",
-    "POLICIES",
     "POLICY_REGISTRY",
-    "PolicyParam",
+    "Param",
     "PolicySpec",
     "RecentExpectedCompletionTime",
     "RoundRobinPerFunction",
@@ -66,7 +57,6 @@ __all__ = [
     "StablePriorityQueue",
     "build_policy",
     "get_policy",
-    "make_policy",
     "policy_names",
     "register_policy",
 ]

@@ -25,16 +25,16 @@ from typing import TYPE_CHECKING, Dict
 
 from repro.scheduling.estimator import EmaTracker, RuntimeEstimator
 from repro.scheduling.policies import SchedulingPolicy
-from repro.scheduling.registry import PolicyParam, register_policy, require_number
+from repro.scheduling.registry import Param, register_policy, require_number
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.generator import Request
 
-__all__ = ["ClairvoyantSPT", "EtasLike", "RoundRobinPerFunction", "EXTRA_POLICIES"]
+__all__ = ["ClairvoyantSPT", "EtasLike", "RoundRobinPerFunction"]
 
 
 def _validate_etas_params(params: dict) -> None:
-    alpha = require_number("alpha", params["alpha"], "ETAS")
+    alpha = require_number("policy", "ETAS", "alpha", params["alpha"])
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {params['alpha']!r}")
 
@@ -68,7 +68,7 @@ class ClairvoyantSPT(SchedulingPolicy):
     ),
     starvation_free=True,
     params=(
-        PolicyParam(
+        Param(
             "alpha",
             0.3,
             "EMA smoothing factor in (0, 1]; 1 keeps only the last sample",
@@ -136,8 +136,3 @@ class RoundRobinPerFunction(SchedulingPolicy):
         self._counts[name] = count + 1
         return float(count)
 
-
-#: Extension-policy registry (kept separate from the paper's POLICIES).
-EXTRA_POLICIES = {
-    cls.name: cls for cls in (ClairvoyantSPT, EtasLike, RoundRobinPerFunction)
-}

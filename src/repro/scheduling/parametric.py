@@ -30,12 +30,7 @@ from typing import TYPE_CHECKING
 
 from repro.scheduling.estimator import EmaTracker, RuntimeEstimator
 from repro.scheduling.policies import SchedulingPolicy
-from repro.scheduling.registry import (
-    EstimatorFactory,
-    PolicyParam,
-    register_policy,
-    require_number,
-)
+from repro.scheduling.registry import EstimatorFactory, Param, register_policy, require_number
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workload.generator import Request
@@ -44,7 +39,7 @@ __all__ = ["HybridFairCompletion", "SmoothedSEPT"]
 
 
 def _validate_hybrid_params(params: dict) -> None:
-    weight = require_number("deadline_weight", params["deadline_weight"], "FC-HYBRID")
+    weight = require_number("policy", "FC-HYBRID", "deadline_weight", params["deadline_weight"])
     if not 0.0 <= weight <= 1.0:
         raise ValueError(
             f"deadline_weight must lie in [0, 1], got {params['deadline_weight']!r}"
@@ -52,7 +47,7 @@ def _validate_hybrid_params(params: dict) -> None:
 
 
 def _validate_smoothed_sept_params(params: dict) -> None:
-    smoothing = require_number("smoothing", params["smoothing"], "SEPT-EMA")
+    smoothing = require_number("policy", "SEPT-EMA", "smoothing", params["smoothing"])
     if not 0.0 <= smoothing < 1.0:
         raise ValueError(f"smoothing must lie in [0, 1), got {params['smoothing']!r}")
     window = params["window"]
@@ -67,7 +62,7 @@ def _validate_smoothed_sept_params(params: dict) -> None:
             "SEPT-EMA ignores the window mean when smoothing > 0; give "
             "either window (window-mean SEPT) or smoothing (EMA), not both"
         )
-    window = require_number("window", window, "SEPT-EMA")
+    window = require_number("policy", "SEPT-EMA", "window", window)
     if int(window) != window or window < 1:
         raise ValueError(
             f"window must be a positive integer, got {params['window']!r}"
@@ -86,7 +81,7 @@ def _validate_smoothed_sept_params(params: dict) -> None:
     ),
     starvation_free=True,  # any w > 0 inherits EECT's unbounded r' anchor
     params=(
-        PolicyParam(
+        Param(
             "deadline_weight",
             0.5,
             "weight w in [0, 1] on the EECT completion-deadline term; "
@@ -132,14 +127,14 @@ class HybridFairCompletion(SchedulingPolicy):
         "as a parameter, optional EMA smoothing replacing the window mean"
     ),
     params=(
-        PolicyParam(
+        Param(
             "window",
             None,
             "sliding-window length (samples) of the runtime estimator; "
             "None keeps the node's configured estimator_window (the paper "
             "fixes 10)",
         ),
-        PolicyParam(
+        Param(
             "smoothing",
             0.0,
             "EMA factor in [0, 1): 0 keeps the window mean; alpha > 0 "

@@ -23,7 +23,7 @@ FC           ``#(f(i), -T) · E(p(i))`` — recent total resource
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Type
+from typing import TYPE_CHECKING
 
 from repro.scheduling.estimator import RuntimeEstimator
 from repro.scheduling.registry import register_policy
@@ -38,8 +38,6 @@ __all__ = [
     "EarliestExpectedCompletionTime",
     "RecentExpectedCompletionTime",
     "FairChoice",
-    "POLICIES",
-    "make_policy",
 ]
 
 
@@ -193,37 +191,3 @@ class FairChoice(SchedulingPolicy):
         count = self.estimator.recent_call_count(fname, received_at)
         return count * self.estimator.expected_processing_time(fname)
 
-
-#: Registry of the paper's policies by name.
-POLICIES: Dict[str, Type[SchedulingPolicy]] = {
-    cls.name: cls
-    for cls in (
-        FirstInFirstOut,
-        ShortestExpectedProcessingTime,
-        EarliestExpectedCompletionTime,
-        RecentExpectedCompletionTime,
-        FairChoice,
-    )
-}
-
-
-def make_policy(name: str, estimator: RuntimeEstimator | None = None, **kwargs) -> SchedulingPolicy:
-    """Instantiate a policy by registry name (case-insensitive).
-
-    Parameters
-    ----------
-    name:
-        One of ``FIFO``, ``SEPT``, ``EECT``, ``RECT``, ``FC``.
-    estimator:
-        Shared :class:`RuntimeEstimator`; a fresh one is created if omitted.
-    kwargs:
-        Forwarded to :class:`RuntimeEstimator` when one is created
-        (``window``, ``frequency_horizon``).
-    """
-    key = name.upper()
-    cls = POLICIES.get(key)
-    if cls is None:
-        raise KeyError(
-            f"unknown policy {name!r}; available: {', '.join(sorted(POLICIES))}"
-        )
-    return cls(estimator if estimator is not None else RuntimeEstimator(**kwargs))

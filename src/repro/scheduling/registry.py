@@ -1,27 +1,22 @@
 """Pluggable scheduling-policy registry: named, parameterized policies.
 
-The paper's whole contribution is its policy set (Sect. IV), yet policies
-were the last experiment dimension still hardcoded: a fixed five-entry
-dict in :mod:`repro.scheduling.policies`, extension policies stranded in
-:mod:`repro.scheduling.extra`, and no policy taking parameters.  This
-module gives the scheduling layer the same first-class catalog the
-workload layer (``repro.workload.registry``) and the cluster layer
-(``repro.cluster.spec``) already have:
+The paper's whole contribution is its policy set (Sect. IV).  Every policy,
+the paper's five and the extensions, is one entry of
+:data:`POLICY_REGISTRY`, a :class:`~repro.catalog.Registry` of
+:class:`PolicySpec` (see :mod:`repro.catalog` for :class:`Param`,
+parameter validation and the shared error wording):
 
-* :class:`PolicyParam` — one declared, documented policy parameter
-  (name, default, units);
 * :class:`PolicySpec` — a registered policy: a builder plus metadata
   (description, paper section, starvation-freedom) and a
   :meth:`PolicySpec.build` entry point that validates parameters;
-* :class:`PolicyRegistry` — a name → spec map with duplicate rejection
-  and error messages that list what *is* available;
 * :func:`register_policy` — the decorator policy modules use to join the
-  default registry.  It accepts either a :class:`~repro.scheduling.
+  registry.  It accepts either a :class:`~repro.scheduling.
   policies.SchedulingPolicy` subclass (instantiated as
   ``cls(make_estimator(), **params)``) or a builder function
   ``builder(make_estimator, **params) -> SchedulingPolicy`` for policies
   that configure their own :class:`~repro.scheduling.estimator.
-  RuntimeEstimator` construction (window size, smoothing, ...).
+  RuntimeEstimator` construction (window size, smoothing, ...).  Names
+  are looked up case-insensitively (``"sept"`` finds ``SEPT``).
 
 Everything above the scheduling layer goes through :func:`build_policy`:
 :class:`~repro.experiments.config.ExperimentConfig` validates its
@@ -39,19 +34,9 @@ serial and parallel runs stay bit-identical for every registered policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, List, Mapping, Optional
 
+from repro.catalog import REQUIRED, Param, Registry, Spec, require_number
 from repro.scheduling.estimator import DEFAULT_WINDOW, RuntimeEstimator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,15 +44,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "REQUIRED",
-    "PolicyParam",
+    "Param",
     "PolicySpec",
-    "PolicyRegistry",
     "POLICY_REGISTRY",
     "register_policy",
     "require_number",
     "get_policy",
     "policy_names",
-    "policy_param_names",
     "build_policy",
 ]
 
@@ -82,91 +65,42 @@ EstimatorFactory = Callable[..., RuntimeEstimator]
 PolicyBuilder = Callable[..., "SchedulingPolicy"]
 
 
-class _Required:
-    """Sentinel default for parameters the caller must supply."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<required>"
-
-
-#: Use as a :class:`PolicyParam` default to mark the parameter mandatory.
-REQUIRED = _Required()
-
-
 @dataclass(frozen=True)
-class PolicyParam:
-    """One declared policy parameter.
+class PolicySpec(Spec):
+    """A registered scheduling policy: builder plus catalog metadata.
 
-    Attributes
-    ----------
-    name:
-        Keyword-argument name passed to the policy builder.
-    default:
-        Default value, or :data:`REQUIRED` if the caller must supply one.
-    doc:
-        One-line description **including units** where applicable, rendered
-        by ``faas-sched policies`` and docs/POLICIES.md.
+    A :class:`~repro.scheduling.policies.SchedulingPolicy` subclass given
+    as the builder gets the standard construction
+    ``cls(make_estimator(), **params)``; anything else must already be a
+    ``builder(make_estimator, **params)`` callable.
     """
 
-    name: str
-    default: Any
-    doc: str = ""
+    kind = "policy"
 
-    @property
-    def required(self) -> bool:
-        return isinstance(self.default, _Required)
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """A registered scheduling policy: builder plus catalog metadata."""
-
-    name: str
-    builder: PolicyBuilder
-    description: str
-    #: Paper section the policy reproduces (e.g. ``"IV"``), or
-    #: ``"extension"`` for policies beyond the paper's five.
-    paper_section: str
     #: Whether the policy provably prevents starvation (paper Sect. IV).
     starvation_free: bool = False
-    params: Tuple[PolicyParam, ...] = ()
-    #: Optional cross-parameter validator, called with the merged params
-    #: by :meth:`validate_params`.  Must raise :class:`ValueError` on bad
-    #: values/combinations — running here (not in the builder) means an
-    #: invalid config fails at construction, before any simulation time
-    #: (ExperimentConfig validates through this same path).
-    validator: Optional[Callable[[Dict[str, Any]], None]] = None
 
-    def param_names(self) -> List[str]:
-        return [p.name for p in self.params]
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        from repro.scheduling.policies import SchedulingPolicy
 
-    def defaults(self) -> Dict[str, Any]:
-        """Declared defaults (required parameters omitted)."""
-        return {p.name: p.default for p in self.params if not p.required}
+        target = self.builder
+        if isinstance(target, type) and issubclass(target, SchedulingPolicy):
 
-    def validate_params(self, params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
-        """Merge *params* over the declared defaults, rejecting unknown
-        names and missing required parameters with actionable messages."""
-        params = dict(params) if params else {}
-        declared = {p.name for p in self.params}
-        unknown = sorted(set(params) - declared)
-        if unknown:
-            valid = ", ".join(sorted(declared)) or "(none)"
-            raise ValueError(
-                f"unknown parameter(s) {unknown} for policy {self.name!r}; "
-                f"valid parameters: {valid}"
+            def class_builder(make_estimator: EstimatorFactory, **params: Any) -> SchedulingPolicy:
+                return target(make_estimator(), **params)
+
+            class_builder.__module__ = target.__module__
+            class_builder.__qualname__ = f"{target.__qualname__} (class)"
+            object.__setattr__(self, "builder", class_builder)
+        elif not callable(target):
+            raise TypeError(
+                f"@register_policy expects a SchedulingPolicy subclass or a "
+                f"builder callable, got {type(target).__name__}"
             )
-        merged = self.defaults()
-        merged.update(params)
-        missing = sorted(p.name for p in self.params if p.required and p.name not in merged)
-        if missing:
-            raise ValueError(
-                f"policy {self.name!r} requires parameter(s) {missing} "
-                f"(e.g. --policy-param {missing[0]}=...)"
-            )
-        if self.validator is not None:
-            self.validator(merged)
-        return merged
+
+    def traits(self) -> List[str]:
+        return super().traits() + (["starvation-free"] if self.starvation_free else [])
 
     def build(
         self,
@@ -192,185 +126,39 @@ class PolicySpec:
         return self.builder(make_estimator, **kwargs)
 
 
-class PolicyRegistry:
-    """Name → :class:`PolicySpec` map with registration helpers.
-
-    Lookups are case-insensitive (``"sept"`` finds ``SEPT``) to match the
-    historical :func:`repro.scheduling.policies.make_policy` behaviour;
-    registered names keep their canonical (upper-case) spelling.
-    """
-
-    def __init__(self) -> None:
-        self._specs: Dict[str, PolicySpec] = {}
-
-    def register(
-        self,
-        name: str,
-        *,
-        description: str,
-        paper_section: str = "extension",
-        starvation_free: bool = False,
-        params: Sequence[PolicyParam] = (),
-        validator: Optional[Callable[[Dict[str, Any]], None]] = None,
-    ) -> Callable[[Any], Any]:
-        """Decorator registering a policy class or builder under *name*.
-
-        Raises :class:`ValueError` if *name* is already taken (compared
-        case-insensitively) — silent replacement would let two modules
-        fight over a name and make results depend on import order.
-        """
-
-        def decorate(target: Any) -> Any:
-            key = name.upper()
-            if key in self._specs:
-                raise ValueError(
-                    f"policy {name!r} is already registered "
-                    f"(by {self._specs[key].builder.__module__})"
-                )
-            builder = self._as_builder(target)
-            self._specs[key] = PolicySpec(
-                name=name,
-                builder=builder,
-                description=description,
-                paper_section=paper_section,
-                starvation_free=starvation_free,
-                params=tuple(params),
-                validator=validator,
-            )
-            return target
-
-        return decorate
-
-    @staticmethod
-    def _as_builder(target: Any) -> PolicyBuilder:
-        """Normalise the registered object to the builder contract: a
-        :class:`SchedulingPolicy` subclass gets the standard construction
-        ``cls(make_estimator(), **params)``; anything else must already be
-        a ``builder(make_estimator, **params)`` callable."""
-        from repro.scheduling.policies import SchedulingPolicy
-
-        if isinstance(target, type) and issubclass(target, SchedulingPolicy):
-
-            def class_builder(
-                make_estimator: EstimatorFactory, **params: Any
-            ) -> "SchedulingPolicy":
-                return target(make_estimator(), **params)
-
-            class_builder.__module__ = target.__module__
-            class_builder.__qualname__ = f"{target.__qualname__} (class)"
-            return class_builder
-        if callable(target):
-            return target
-        raise TypeError(
-            f"@register_policy expects a SchedulingPolicy subclass or a "
-            f"builder callable, got {type(target).__name__}"
-        )
-
-    def get(self, name: str) -> PolicySpec:
-        """The spec for *name* (case-insensitive); :class:`ValueError`
-        listing the available policy names otherwise."""
-        spec = self._specs.get(str(name).upper())
-        if spec is None:
-            available = ", ".join(self.names()) or "(none registered)"
-            raise ValueError(
-                f"unknown policy {name!r}; available policies: {available}"
-            )
-        return spec
-
-    def names(self) -> List[str]:
-        return sorted(self._specs)
-
-    def __contains__(self, name: str) -> bool:
-        return str(name).upper() in self._specs
-
-    def __iter__(self) -> Iterator[PolicySpec]:
-        for name in self.names():
-            yield self._specs[name]
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-
-#: The default registry; the built-in policy modules register here on
-#: import, and downstream layers resolve names through the module-level
-#: helpers below (which force those imports first).
-POLICY_REGISTRY = PolicyRegistry()
-
-
 def _load_builtin_policies() -> None:
-    """Import the modules whose decorators populate :data:`POLICY_REGISTRY`.
-
-    Lazy (and idempotent — registration happens once per process at module
-    import) so that ``repro.scheduling.registry`` itself has no import
-    cycle with the policy modules.
-    """
+    """Import the modules whose decorators populate :data:`POLICY_REGISTRY`."""
     import repro.scheduling.extra  # noqa: F401
     import repro.scheduling.parametric  # noqa: F401
     import repro.scheduling.policies  # noqa: F401
 
 
-def require_number(name: str, value: Any, policy: str) -> float:
-    """Validator helper: *value* as a float, :class:`ValueError` otherwise
-    (bools are rejected too — ``True`` is not a weight)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(
-            f"policy {policy!r} parameter {name!r} must be a number, "
-            f"got {value!r}"
-        )
-    return float(value)
+#: The default registry; the built-in policy modules register here, and
+#: are imported at its first lookup.
+POLICY_REGISTRY: Registry[PolicySpec] = Registry(
+    PolicySpec, "policies", fold_case=True, load=_load_builtin_policies
+)
 
+#: Register a policy class or builder (decorator).  ``validator``
+#: (optional) receives the merged parameter dict and must raise
+#: :class:`ValueError` on bad values or combinations, so invalid
+#: parameters fail at ``ExperimentConfig`` construction rather than
+#: mid-run::
+#:
+#:     @register_policy(
+#:         "LIFO",
+#:         description="newest call first",
+#:         params=(Param("bias", 0.0, "tie-breaking bias"),),
+#:     )
+#:     class LastInFirstOut(SchedulingPolicy):
+#:         ...
+register_policy = POLICY_REGISTRY.register
 
-def register_policy(
-    name: str,
-    *,
-    description: str,
-    paper_section: str = "extension",
-    starvation_free: bool = False,
-    params: Sequence[PolicyParam] = (),
-    validator: Optional[Callable[[Dict[str, Any]], None]] = None,
-) -> Callable[[Any], Any]:
-    """Register a policy class or builder in the default registry.
+#: The registered spec for a policy name (case-insensitive).
+get_policy = POLICY_REGISTRY.get
 
-    ``validator`` (optional) receives the merged parameter dict and must
-    raise :class:`ValueError` on bad values or combinations; it runs
-    inside :meth:`PolicySpec.validate_params`, so invalid parameters fail
-    at ``ExperimentConfig`` construction rather than mid-run.
-
-    Example
-    -------
-    >>> @register_policy(
-    ...     "LIFO",
-    ...     description="newest call first",
-    ...     params=(PolicyParam("bias", 0.0, "tie-breaking bias"),),
-    ... )
-    ... class LastInFirstOut(SchedulingPolicy):
-    ...     ...
-    """
-    return POLICY_REGISTRY.register(
-        name,
-        description=description,
-        paper_section=paper_section,
-        starvation_free=starvation_free,
-        params=params,
-        validator=validator,
-    )
-
-
-def get_policy(name: str) -> PolicySpec:
-    """The registered spec for *name* (built-ins loaded on demand)."""
-    _load_builtin_policies()
-    return POLICY_REGISTRY.get(name)
-
-
-def policy_names() -> List[str]:
-    """Sorted canonical names of every registered policy."""
-    _load_builtin_policies()
-    return POLICY_REGISTRY.names()
-
-
-def policy_param_names(name: str) -> List[str]:
-    """Declared parameter names of the policy registered under *name*."""
-    return get_policy(name).param_names()
+#: Sorted canonical names of every registered policy.
+policy_names = POLICY_REGISTRY.names
 
 
 def build_policy(
@@ -383,6 +171,4 @@ def build_policy(
     """Build the policy registered under *name* — the single entry point
     used by the invoker, so every registered policy composes with the
     experiment grid, the parallel engine, and its cache automatically."""
-    return get_policy(name).build(
-        params, window=window, frequency_horizon=frequency_horizon
-    )
+    return get_policy(name).build(params, window=window, frequency_horizon=frequency_horizon)

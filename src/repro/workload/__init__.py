@@ -44,8 +44,7 @@ from repro.workload.generator import (
 )
 from repro.workload.registry import (
     SCENARIOS,
-    ScenarioParam,
-    ScenarioRegistry,
+    Param,
     ScenarioSpec,
     build_scenario,
     get_scenario,
@@ -68,9 +67,8 @@ __all__ = [
     "BurstScenario",
     "FunctionSpec",
     "Request",
+    "Param",
     "SCENARIOS",
-    "ScenarioParam",
-    "ScenarioRegistry",
     "ScenarioSpec",
     "SplitLogNormal",
     "TraceProfile",

@@ -39,7 +39,7 @@ from repro.workload.functions import FunctionSpec, sebs_catalog
 from repro.workload.generator import BurstScenario, Request, RequestStream
 from repro.workload.registry import (
     REQUIRED,
-    ScenarioParam,
+    Param,
     register_scenario,
     register_stream_builder,
 )
@@ -301,14 +301,14 @@ def replay_stream(
     description="Replay an Azure-shaped CSV trace (app,func,minute,count rows)",
     paper_section="extension",
     params=(
-        ScenarioParam("path", REQUIRED, "CSV trace file to replay"),
-        ScenarioParam("minute_s", 60.0, "simulated seconds per trace minute"),
-        ScenarioParam(
+        Param("path", REQUIRED, "CSV trace file to replay"),
+        Param("minute_s", 60.0, "simulated seconds per trace minute"),
+        Param(
             "namespace_functions", True,
             "keep each app/func identity distinct (own containers) vs. "
             "collapsing onto the bare catalog",
         ),
-        ScenarioParam("max_minutes", None, "replay only the first N trace minutes"),
+        Param("max_minutes", None, "replay only the first N trace minutes"),
     ),
 )
 def _replay(cores, intensity, rng, *, window, catalog, path, minute_s, namespace_functions, max_minutes):

@@ -34,7 +34,7 @@ from repro.workload.generator import (
     requests_for_intensity,
     zipf_weights,
 )
-from repro.workload.registry import ScenarioParam, register_scenario
+from repro.workload.registry import Param, register_scenario
 
 __all__ = [
     "uniform_burst",
@@ -328,8 +328,8 @@ def _uniform(cores, intensity, rng, *, window, catalog):
     description="Fairness mix: a fixed dose of one long, rare function",
     paper_section="VII-D",
     params=(
-        ScenarioParam("rare_function", "dna-visualisation", "catalog name of the rare function"),
-        ScenarioParam("rare_count", 10, "exact number of rare-function calls"),
+        Param("rare_function", "dna-visualisation", "catalog name of the rare function"),
+        Param("rare_count", 10, "exact number of rare-function calls"),
     ),
 )
 def _skewed(cores, intensity, rng, *, window, catalog, rare_function, rare_count):
@@ -345,7 +345,7 @@ def _skewed(cores, intensity, rng, *, window, catalog, rare_function, rare_count
     description="Fixed total request count split equally across the catalog",
     paper_section="VIII",
     params=(
-        ScenarioParam(
+        Param(
             "total_requests", None,
             "total request count (must divide by the catalog size); "
             "default: the paper's 1.1 * cores * intensity",
@@ -364,7 +364,7 @@ def _multi_node(cores, intensity, rng, *, window, catalog, total_requests):
     description="Zipf-skewed call mix shaped like the Azure Functions trace",
     paper_section="extension",
     params=(
-        ScenarioParam("zipf_exponent", 1.1, "popularity skew (dimensionless; 0 = uniform)"),
+        Param("zipf_exponent", 1.1, "popularity skew (dimensionless; 0 = uniform)"),
     ),
 )
 def _azure(cores, intensity, rng, *, window, catalog, zipf_exponent):
@@ -379,11 +379,11 @@ def _azure(cores, intensity, rng, *, window, catalog, zipf_exponent):
     description="Homogeneous Poisson arrivals at the paper's average rate",
     paper_section="extension",
     params=(
-        ScenarioParam(
+        Param(
             "rate", None,
             "arrival rate in requests/second; default 1.1 * cores * intensity / window",
         ),
-        ScenarioParam("zipf_exponent", 0.0, "function-mix skew (dimensionless; 0 = uniform)"),
+        Param("zipf_exponent", 0.0, "function-mix skew (dimensionless; 0 = uniform)"),
     ),
 )
 def _poisson(cores, intensity, rng, *, window, catalog, rate, zipf_exponent):
@@ -399,10 +399,10 @@ def _poisson(cores, intensity, rng, *, window, catalog, rate, zipf_exponent):
     description="Sinusoidal (diurnal) arrival rate, one day compressed into the window",
     paper_section="extension",
     params=(
-        ScenarioParam("amplitude", 0.8, "peak-to-mean rate excursion, in [0, 1]"),
-        ScenarioParam("period_s", None, "cycle length in seconds; default: the window"),
-        ScenarioParam("phase", 0.0, "starting point in cycles (0.25 starts at the peak)"),
-        ScenarioParam("zipf_exponent", 0.0, "function-mix skew (dimensionless; 0 = uniform)"),
+        Param("amplitude", 0.8, "peak-to-mean rate excursion, in [0, 1]"),
+        Param("period_s", None, "cycle length in seconds; default: the window"),
+        Param("phase", 0.0, "starting point in cycles (0.25 starts at the peak)"),
+        Param("zipf_exponent", 0.0, "function-mix skew (dimensionless; 0 = uniform)"),
     ),
 )
 def _diurnal(cores, intensity, rng, *, window, catalog, amplitude, period_s, phase, zipf_exponent):
@@ -420,9 +420,9 @@ def _diurnal(cores, intensity, rng, *, window, catalog, amplitude, period_s, pha
     description="Tenant-namespaced catalog copies contending under Zipf popularity",
     paper_section="extension",
     params=(
-        ScenarioParam("tenants", 4, "number of tenants (private catalog copies)"),
-        ScenarioParam("tenant_exponent", 1.2, "tenant-popularity skew (dimensionless)"),
-        ScenarioParam("zipf_exponent", 1.1, "within-tenant function skew (dimensionless)"),
+        Param("tenants", 4, "number of tenants (private catalog copies)"),
+        Param("tenant_exponent", 1.2, "tenant-popularity skew (dimensionless)"),
+        Param("zipf_exponent", 1.1, "within-tenant function skew (dimensionless)"),
     ),
 )
 def _zipf_multitenant(cores, intensity, rng, *, window, catalog, tenants, tenant_exponent, zipf_exponent):

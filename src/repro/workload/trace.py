@@ -31,7 +31,7 @@ from repro.workload.generator import (
     requests_for_intensity,
     zipf_weights,
 )
-from repro.workload.registry import ScenarioParam, register_scenario
+from repro.workload.registry import Param, register_scenario
 
 __all__ = ["TraceProfile", "trace_scenario"]
 
@@ -113,22 +113,22 @@ def trace_scenario(
     description="Synthetic Azure-shaped trace: baseline rate plus a peak, Zipf mix",
     paper_section="extension",
     params=(
-        ScenarioParam(
+        Param(
             "duration_s", None,
             "trace length in seconds; default: the experiment window",
         ),
-        ScenarioParam(
+        Param(
             "base_rate", None,
             "steady-state rate in requests/second; default "
             "1.1 * cores * intensity / duration_s",
         ),
-        ScenarioParam(
+        Param(
             "peak_ratio", 10.0,
             "peak rate as a multiple of base_rate (dimensionless)",
         ),
-        ScenarioParam("peak_start", 0.4, "peak start as a fraction of the duration"),
-        ScenarioParam("peak_fraction", 0.2, "peak length as a fraction of the duration"),
-        ScenarioParam("zipf_exponent", 1.1, "popularity skew (dimensionless; 0 = uniform)"),
+        Param("peak_start", 0.4, "peak start as a fraction of the duration"),
+        Param("peak_fraction", 0.2, "peak length as a fraction of the duration"),
+        Param("zipf_exponent", 1.1, "popularity skew (dimensionless; 0 = uniform)"),
     ),
 )
 def _trace(

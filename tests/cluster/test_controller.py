@@ -1,7 +1,10 @@
 """Tests for the load balancers."""
 
+import inspect
+
 import pytest
 
+from repro.catalog import RUNTIME
 from repro.cluster.controller import (
     BALANCERS,
     HashOverflowBalancer,
@@ -256,14 +259,28 @@ class TestLiveInvokerList:
 
 class TestRegistry:
     def test_all_registered(self):
-        assert set(BALANCERS) == {
+        assert set(balancer_names()) == {
             "round-robin",
             "least-loaded",
             "hash-overflow",
             "power-of-d",
             "locality",
         }
-        assert balancer_names() == sorted(BALANCERS)
+        assert balancer_names() == sorted(spec.name for spec in BALANCERS)
+
+    def test_declared_params_match_constructor(self):
+        # The catalog declares each balancer's parameters by hand; they
+        # must be exactly the constructor's keywords beyond the invokers,
+        # with the same defaults (a run-time default is filled in later).
+        for spec in BALANCERS:
+            parameters = dict(inspect.signature(spec.builder).parameters)
+            parameters.pop("invokers")
+            assert spec.param_names() == list(parameters), spec.name
+            for param in spec.params:
+                if param.default is not RUNTIME:
+                    assert param.default == parameters[param.name].default, spec.name
+                assert param.doc, spec.name
+            assert spec.builder.name == spec.name
 
     def test_make_balancer(self):
         balancer = make_balancer("round-robin", [FakeInvoker()])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.parallel import config_fingerprint, config_to_dict
 
 
 class TestExperimentConfig:
@@ -159,6 +160,32 @@ class TestExperimentConfig:
         assert from_dict == from_pairs
         assert hash(from_dict) == hash(from_pairs)
         assert from_dict.policy_kwargs() == {"window": 5, "smoothing": 0.0}
+
+    def test_policy_param_value_type_error_names_policy(self):
+        with pytest.raises(ValueError, match="^policy parameter 'deadline_weight' has unsupported"):
+            ExperimentConfig(
+                cores=10, intensity=30, policy="FC-HYBRID",
+                policy_params={"deadline_weight": {"a": 1}},
+            )
+
+    def test_mapping_node_overrides_frozen_to_pairs(self):
+        # A mapping used to be stored as given: the config was unhashable
+        # and serialised the override name letter by letter.
+        cfg = ExperimentConfig(cores=4, intensity=10, node_overrides={"kappa": 0.1})
+        assert cfg.node_overrides == (("kappa", 0.1),)
+        assert cfg == ExperimentConfig(cores=4, intensity=10, node_overrides=(("kappa", 0.1),))
+        hash(cfg)
+        assert config_to_dict(cfg)["fields"]["node_overrides"] == [["kappa", 0.1]]
+        assert cfg.node_config().kappa == 0.1
+
+    def test_node_overrides_fingerprint_in_sorted_form(self):
+        given = ExperimentConfig(
+            cores=4, intensity=10, node_overrides=(("kappa", 0.5), ("busy_limit", 3))
+        )
+        assert given.node_overrides == (("busy_limit", 3), ("kappa", 0.5))
+        assert config_fingerprint(given) == config_fingerprint(
+            given.with_(node_overrides={"busy_limit": 3, "kappa": 0.5})
+        )
 
     def test_label(self):
         cfg = ExperimentConfig(cores=10, intensity=30, policy="FC", seed=3)

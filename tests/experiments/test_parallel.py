@@ -307,6 +307,14 @@ class TestResultCache:
         again = run_configs([cfg], jobs=1, cache_dir=tmp_path)[0]
         assert again.node_stats == default.node_stats
 
+    def test_mapping_node_overrides_are_served_from_cache(self, tmp_path):
+        cfg = ExperimentConfig(cores=4, intensity=10, node_overrides={"kappa": 0.1})
+        cold, warm = EngineStats(), EngineStats()
+        run_configs([cfg], jobs=1, cache_dir=tmp_path, stats=cold)
+        run_configs([cfg], jobs=1, cache_dir=tmp_path, stats=warm)
+        assert (cold.computed, cold.cached) == (1, 0)
+        assert (warm.computed, warm.cached) == (0, 1)
+
     def test_cache_shared_between_serial_and_parallel(self, tmp_path):
         spec = tiny_spec()
         warmed = run_grid(spec, jobs=2, cache_dir=tmp_path)

@@ -4,15 +4,14 @@ import pytest
 
 from repro.scheduling.estimator import RuntimeEstimator
 from repro.scheduling.policies import (
-    POLICIES,
     EarliestExpectedCompletionTime,
     FairChoice,
     FirstInFirstOut,
     RecentExpectedCompletionTime,
     SchedulingPolicy,
     ShortestExpectedProcessingTime,
-    make_policy,
 )
+from repro.scheduling.registry import build_policy, get_policy, policy_names
 from repro.workload.functions import catalog_by_name
 from repro.workload.generator import Request
 
@@ -23,20 +22,16 @@ def req(name: str, rid: int = 0, release: float = 0.0) -> Request:
 
 class TestRegistry:
     def test_all_five_policies_registered(self):
-        assert set(POLICIES) == {"FIFO", "SEPT", "EECT", "RECT", "FC"}
+        section_iv = {name for name in policy_names() if get_policy(name).paper_section == "IV"}
+        assert section_iv == {"FIFO", "SEPT", "EECT", "RECT", "FC"}
 
     def test_make_policy_case_insensitive(self):
-        assert isinstance(make_policy("sept"), ShortestExpectedProcessingTime)
-        assert isinstance(make_policy("Fc"), FairChoice)
+        assert isinstance(build_policy("sept"), ShortestExpectedProcessingTime)
+        assert isinstance(build_policy("Fc"), FairChoice)
 
     def test_make_policy_unknown(self):
-        with pytest.raises(KeyError):
-            make_policy("SJF")
-
-    def test_make_policy_shares_estimator(self):
-        est = RuntimeEstimator()
-        policy = make_policy("SEPT", est)
-        assert policy.estimator is est
+        with pytest.raises(ValueError, match="available policies"):
+            build_policy("SJF")
 
     def test_starvation_free_flags(self):
         # Paper Sect. IV: EECT and RECT prevent starvation; SEPT and FC may
@@ -50,38 +45,38 @@ class TestRegistry:
 
 class TestFIFO:
     def test_priority_is_receipt_time(self):
-        policy = make_policy("FIFO")
+        policy = build_policy("FIFO")
         assert policy.on_received(req("graph-bfs"), 12.5) == 12.5
         assert policy.on_received(req("dna-visualisation"), 13.5) == 13.5
 
 
 class TestSEPT:
     def test_priority_is_expected_processing_time(self):
-        policy = make_policy("SEPT")
+        policy = build_policy("SEPT")
         policy.estimator.record_completion("graph-bfs", 0.01)
         policy.estimator.record_completion("dna-visualisation", 8.5)
         assert policy.on_received(req("graph-bfs"), 0.0) == pytest.approx(0.01)
         assert policy.on_received(req("dna-visualisation"), 0.0) == pytest.approx(8.5)
 
     def test_unknown_function_gets_zero(self):
-        policy = make_policy("SEPT")
+        policy = build_policy("SEPT")
         assert policy.on_received(req("sleep"), 100.0) == 0.0
 
     def test_receipt_time_irrelevant(self):
-        policy = make_policy("SEPT")
+        policy = build_policy("SEPT")
         policy.estimator.record_completion("sleep", 1.0)
         assert policy.priority(req("sleep"), 0.0) == policy.priority(req("sleep"), 999.0)
 
 
 class TestEECT:
     def test_priority_is_receipt_plus_estimate(self):
-        policy = make_policy("EECT")
+        policy = build_policy("EECT")
         policy.estimator.record_completion("compression", 0.8)
         assert policy.on_received(req("compression"), 10.0) == pytest.approx(10.8)
 
     def test_starvation_bound(self):
         # If r'(j) > r'(i) + E(p(i)), j is served after i (paper Sect. IV).
-        policy = make_policy("EECT")
+        policy = build_policy("EECT")
         policy.estimator.record_completion("compression", 0.8)
         policy.estimator.record_completion("graph-bfs", 0.01)
         early_long = policy.on_received(req("compression"), 0.0)
@@ -91,19 +86,19 @@ class TestEECT:
 
 class TestRECT:
     def test_first_call_anchored_at_own_receipt(self):
-        policy = make_policy("RECT")
+        policy = build_policy("RECT")
         policy.estimator.record_completion("sleep", 1.0)
         assert policy.on_received(req("sleep"), 5.0) == pytest.approx(6.0)
 
     def test_subsequent_call_anchored_at_previous_receipt(self):
-        policy = make_policy("RECT")
+        policy = build_policy("RECT")
         policy.estimator.record_completion("sleep", 1.0)
         policy.on_received(req("sleep"), 5.0)
         # Second call at t=9: anchor is the previous receipt (5.0).
         assert policy.on_received(req("sleep"), 9.0) == pytest.approx(6.0)
 
     def test_anchor_increases_over_time(self):
-        policy = make_policy("RECT")
+        policy = build_policy("RECT")
         policy.estimator.record_completion("sleep", 1.0)
         p1 = policy.on_received(req("sleep"), 5.0)
         policy.on_received(req("sleep"), 9.0)
@@ -113,7 +108,7 @@ class TestRECT:
 
 class TestFairChoice:
     def test_priority_is_count_times_estimate(self):
-        policy = make_policy("FC")
+        policy = build_policy("FC")
         policy.estimator.record_completion("sleep", 1.0)
         # First call: no recorded arrivals yet -> count 0 -> priority 0.
         assert policy.on_received(req("sleep"), 0.0) == 0.0
@@ -122,7 +117,7 @@ class TestFairChoice:
         assert policy.on_received(req("sleep"), 2.0) == pytest.approx(2.0)
 
     def test_frequency_window_forgets(self):
-        policy = make_policy("FC", frequency_horizon=10.0)
+        policy = build_policy("FC", frequency_horizon=10.0)
         policy.estimator.record_completion("sleep", 1.0)
         policy.on_received(req("sleep"), 0.0)
         policy.on_received(req("sleep"), 1.0)
@@ -133,7 +128,7 @@ class TestFairChoice:
         # The fairness mechanism (paper Sect. VII-D): a rarely-called long
         # function outranks a frequently-called short one once the short
         # function's recent consumption is higher.
-        policy = make_policy("FC")
+        policy = build_policy("FC")
         policy.estimator.record_completion("dna-visualisation", 8.5)
         policy.estimator.record_completion("graph-bfs", 0.01)
         for t in range(1000):
@@ -145,7 +140,7 @@ class TestFairChoice:
 
 class TestBookkeeping:
     def test_on_completed_feeds_estimator(self):
-        policy = make_policy("SEPT")
+        policy = build_policy("SEPT")
         policy.on_completed(req("sleep"), 1.5)
         assert policy.estimator.expected_processing_time("sleep") == pytest.approx(1.5)
 
@@ -157,7 +152,7 @@ class TestBookkeeping:
     def test_on_received_records_arrival_after_priority(self):
         # RECT's correctness depends on this ordering: priority must use the
         # PREVIOUS arrival, not the current one.
-        policy = make_policy("RECT")
+        policy = build_policy("RECT")
         policy.estimator.record_completion("sleep", 0.0)
         policy.on_received(req("sleep"), 3.0)
         assert policy.estimator.previous_arrival("sleep") == 3.0

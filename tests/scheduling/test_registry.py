@@ -2,24 +2,17 @@
 
 import pytest
 
+from repro.catalog import REQUIRED, Param, Registry
 from repro.scheduling.estimator import RuntimeEstimator
 from repro.scheduling.extra import EtasLike
 from repro.scheduling.parametric import HybridFairCompletion, SmoothedSEPT
-from repro.scheduling.policies import (
-    POLICIES,
-    FairChoice,
-    FirstInFirstOut,
-    SchedulingPolicy,
-)
+from repro.scheduling.policies import FairChoice, FirstInFirstOut, SchedulingPolicy
 from repro.scheduling.registry import (
     POLICY_REGISTRY,
-    REQUIRED,
-    PolicyParam,
-    PolicyRegistry,
+    PolicySpec,
     build_policy,
     get_policy,
     policy_names,
-    policy_param_names,
 )
 from repro.workload.functions import catalog_by_name
 from repro.workload.generator import Request
@@ -37,23 +30,9 @@ class TestCatalog:
             "FC-HYBRID", "SEPT-EMA",
         }
 
-    def test_legacy_policies_dict_unchanged(self):
-        # The paper's five stay importable exactly as before; the registry
-        # absorbs them without changing the historical surface.
-        assert set(POLICIES) == {"FIFO", "SEPT", "EECT", "RECT", "FC"}
-
     def test_paper_five_marked_with_section(self):
-        for name in POLICIES:
+        for name in ("FIFO", "SEPT", "EECT", "RECT", "FC"):
             assert get_policy(name).paper_section == "IV"
-
-    def test_registry_iv_entries_match_legacy_dict(self):
-        # The legacy POLICIES dict and the registry's paper-section
-        # entries are two views over the same five classes; this pins
-        # them together so neither can grow without the other.
-        section_iv = {
-            name for name in policy_names() if get_policy(name).paper_section == "IV"
-        }
-        assert section_iv == set(POLICIES)
 
     def test_starvation_freedom_matches_class_attribute(self):
         for name in policy_names():
@@ -77,13 +56,13 @@ class TestLookup:
             get_policy("SJF")
 
     def test_duplicate_registration_rejected(self):
-        registry = PolicyRegistry()
+        registry = Registry(PolicySpec, "policies", fold_case=True)
         registry.register("X", description="first")(FirstInFirstOut)
         with pytest.raises(ValueError, match="already registered"):
             registry.register("x", description="second")(FairChoice)
 
     def test_non_policy_registration_rejected(self):
-        registry = PolicyRegistry()
+        registry = Registry(PolicySpec, "policies", fold_case=True)
         with pytest.raises(TypeError):
             registry.register("X", description="not a policy")(object())
 
@@ -104,12 +83,12 @@ class TestParams:
             get_policy("FIFO").validate_params({"alpha": 0.5})
 
     def test_required_param_enforced(self):
-        registry = PolicyRegistry()
+        registry = Registry(PolicySpec, "policies", fold_case=True)
 
         @registry.register(
             "NEEDY",
             description="requires k",
-            params=(PolicyParam("k", REQUIRED, "mandatory knob"),),
+            params=(Param("k", REQUIRED, "mandatory knob"),),
         )
         def _build(make_estimator, *, k):  # pragma: no cover - never built
             raise AssertionError
@@ -118,8 +97,8 @@ class TestParams:
             registry.get("NEEDY").validate_params({})
 
     def test_policy_param_names_helper(self):
-        assert policy_param_names("SEPT-EMA") == ["window", "smoothing"]
-        assert policy_param_names("RECT") == []
+        assert get_policy("SEPT-EMA").param_names() == ["window", "smoothing"]
+        assert get_policy("RECT").param_names() == []
 
 
 class TestBuild:
@@ -236,12 +215,12 @@ class TestBuild:
         assert invoker.policy.estimator.sample_count("sleep") == 20
 
     def test_custom_registration_is_immediately_buildable(self):
-        registry = PolicyRegistry()
+        registry = Registry(PolicySpec, "policies", fold_case=True)
 
         @registry.register(
             "LIFO-ISH",
             description="newest first",
-            params=(PolicyParam("bias", 0.0, "priority offset"),),
+            params=(Param("bias", 0.0, "priority offset"),),
         )
         class LastInFirstOut(SchedulingPolicy):
             def __init__(self, estimator: RuntimeEstimator, bias: float = 0.0):

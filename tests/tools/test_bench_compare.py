@@ -120,8 +120,8 @@ class TestSignificanceGate:
         """The committed BENCH pair carries raw samples; the gate must
         produce the same comparison twice (seeded bootstrap)."""
         root = Path(__file__).resolve().parent.parent.parent
-        old = bench_compare.load_benchmarks(root / "benchmarks" / "BENCH_kernel_before.json")
-        new = bench_compare.load_benchmarks(root / "benchmarks" / "BENCH_kernel_after.json")
+        old = bench_compare.load_benchmarks(root / "benchmarks" / "BENCH_cell_fc_before.json")
+        new = bench_compare.load_benchmarks(root / "benchmarks" / "BENCH_cell_fc_after.json")
         first, skipped_1 = bench_compare.gate_comparison(old, new, resamples=200)
         second, skipped_2 = bench_compare.gate_comparison(old, new, resamples=200)
         assert skipped_1 == skipped_2 == []

@@ -106,6 +106,7 @@ def test_every_failure_is_reported(docs_copy, capsys):
     # The checks still passing are run and reported too.
     assert [line.split()[0] for line in out.out.splitlines()] == [
         "docs/POLICIES.md",
+        "docs/BALANCERS.md",
         "docs/DISTRIBUTED.md",
         "all",
         "README.md's",

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.catalog import REQUIRED, Param, Registry
 from repro.workload.functions import sebs_catalog
 from repro.workload.registry import (
-    REQUIRED,
     SCENARIOS,
-    ScenarioParam,
-    ScenarioRegistry,
+    ScenarioSpec,
     build_scenario,
     get_scenario,
     register_scenario,
@@ -44,7 +43,7 @@ class TestBuiltinCatalog:
 
 class TestRegistration:
     def test_duplicate_name_rejected(self):
-        registry = ScenarioRegistry()
+        registry = Registry(ScenarioSpec, "scenarios")
 
         @registry.register("dup", description="first")
         def first(cores, intensity, rng, *, window, catalog):
@@ -70,7 +69,7 @@ class TestRegistration:
             assert name in message
 
     def test_contains_and_len(self):
-        registry = ScenarioRegistry()
+        registry = Registry(ScenarioSpec, "scenarios")
         assert "x" not in registry and len(registry) == 0
 
         @registry.register("x", description="d")
@@ -101,8 +100,8 @@ class TestParamValidation:
         assert merged == {"rare_function": "dna-visualisation", "rare_count": 5}
 
     def test_required_sentinel(self):
-        assert ScenarioParam("p", REQUIRED).required
-        assert not ScenarioParam("p", None).required
+        assert Param("p", REQUIRED).required
+        assert not Param("p", None).required
 
 
 class TestBuild:

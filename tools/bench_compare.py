@@ -5,11 +5,12 @@ Usage::
     python tools/bench_compare.py BENCH_old.json BENCH_new.json
     python tools/bench_compare.py --alpha 0.01 old.json new.json
 
-Reads the ``--benchmark-json`` output of two benchmark runs (e.g. the
-committed ``benchmarks/BENCH_kernel_before.json`` /
-``BENCH_kernel_after.json`` pair, or a CI run against the committed
-baseline) and matches benchmarks by name.  The per-round raw samples
-(``stats.data``) of both runs feed
+Reads two files in the ``--benchmark-json`` shape of pytest-benchmark
+(e.g. a committed ``benchmarks/BENCH_cell_fc_before.json`` /
+``BENCH_cell_fc_after.json`` pair, or the two sides of a
+``tools/perfbench_pairs.py`` run against a base commit, as CI's advisory
+benchmark job does) and matches benchmarks by name.  The per-round raw
+samples (``stats.data``) of both runs feed
 :func:`repro.metrics.compare.compare_samples`: Mann-Whitney U per
 benchmark with Holm correction across all shared benchmarks, Cliff's
 delta effect sizes, and bootstrap CIs on the mean difference.  A
@@ -17,7 +18,7 @@ benchmark regresses only when the corrected test is significant at
 ``--alpha`` *and* the candidate is slower, so a one-round blip that moves
 the minimum time but leaves the distributions overlapping passes.  Exits
 1 on a regression and 2 when no shared benchmark carries raw samples, so
-a CI job can surface kernel performance regressions — run it
+a CI job can surface performance regressions — run it
 ``continue-on-error`` if the signal should stay advisory.  See
 docs/COMPARISONS.md.
 """

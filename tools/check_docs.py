@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import re
 import sys
 from dataclasses import dataclass
@@ -71,16 +72,14 @@ NUMBER_WORDS = "zero one two three four five six seven eight nine ten eleven twe
 Parser = argparse.ArgumentParser
 
 
-def _scenarios() -> Iterable[str]:
-    from repro.workload.registry import scenario_names
+def _registered(module: str, registry: str) -> Callable[[], Iterable[str]]:
+    """The names in the :class:`repro.catalog.Registry` *registry* of
+    *module* (imported when the check runs)."""
 
-    return scenario_names()
+    def names() -> Iterable[str]:
+        return getattr(importlib.import_module(module), registry).names()
 
-
-def _policies() -> Iterable[str]:
-    from repro.scheduling.registry import policy_names
-
-    return policy_names()
+    return names
 
 
 def _comparison_metrics() -> Iterable[str]:
@@ -158,19 +157,26 @@ class Catalog:
 CATALOGS = (
     Catalog(
         doc="SCENARIOS.md",
-        defined=_scenarios,
+        defined=_registered("repro.workload.registry", "SCENARIOS"),
         missing="registered scenario(s)",
         unknown="unregistered scenario(s)",
         noun="registered scenarios",
     ),
     Catalog(
         doc="POLICIES.md",
-        defined=_policies,
+        defined=_registered("repro.scheduling.registry", "POLICY_REGISTRY"),
         missing="registered policy(ies)",
         unknown="unregistered policy(ies)",
         noun="registered policies",
         # The stock invoker: documented beside the policies, not registered.
         extras=frozenset({"baseline"}),
+    ),
+    Catalog(
+        doc="BALANCERS.md",
+        defined=_registered("repro.cluster.controller", "BALANCERS"),
+        missing="registered balancer(s)",
+        unknown="unregistered balancer(s)",
+        noun="registered balancers",
     ),
     Catalog(
         doc="COMPARISONS.md",
