@@ -85,7 +85,9 @@ ProgressCallback = Callable[[int, int, str, bool], None]
 #: v7: ``records`` is stored column by column (float columns as packed
 #: little-endian float64 bytes, see :mod:`repro.metrics.serialize`).
 #: v8: concurrently autoscaled nodes get unique names (v7 repeated them).
-CACHE_SCHEMA_VERSION = 8
+#: v9: the accumulator's t-digests store their centroid means and weights
+#: as packed little-endian float64 bytes, as the record float columns are.
+CACHE_SCHEMA_VERSION = 9
 
 
 # ----------------------------------------------------------------------

@@ -337,6 +337,21 @@ def experiment_ids() -> List[str]:
     return list(EXPERIMENTS)
 
 
+#: Parameters as a mapping (the natural programmatic spelling) or as
+#: ``(name, value)`` pairs (what the CLI parses).
+_Params = Union[Mapping[str, Any], Tuple[Tuple[str, Any], ...]]
+
+
+def _as_pairs(params: _Params) -> Tuple[Tuple[str, Any], ...]:
+    """``params`` as ``(name, value)`` pairs in the caller's order.
+
+    ``tuple()`` on a mapping would keep only its keys.  ``freeze_pairs``
+    would sort the pairs, which reorders a multi-parameter scenario tag in
+    a report title.
+    """
+    return tuple(params.items()) if isinstance(params, Mapping) else tuple(params)
+
+
 def run_registered(
     experiment_id: str,
     quick: bool = True,
@@ -345,14 +360,14 @@ def run_registered(
     cache_dir: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
     scenario: Optional[str] = None,
-    scenario_params: Union[Mapping[str, Any], Tuple[Tuple[str, Any], ...]] = (),
+    scenario_params: _Params = (),
     nodes: Optional[Sequence[int]] = None,
     balancers: Optional[Sequence[str]] = None,
-    balancer_params: Union[Mapping[str, Any], Tuple[Tuple[str, Any], ...]] = (),
+    balancer_params: _Params = (),
     autoscale: bool = False,
     policies: Optional[Sequence[str]] = None,
-    policy_params: Union[Mapping[str, Any], Tuple[Tuple[str, Any], ...]] = (),
-    failure_params: Union[Mapping[str, Any], Tuple[Tuple[str, Any], ...]] = (),
+    policy_params: _Params = (),
+    failure_params: _Params = (),
     cell_timeout: Optional[float] = None,
     executor: Optional[str] = None,
     stats: Optional[EngineStats] = None,
@@ -402,11 +417,7 @@ def run_registered(
     cluster = ClusterSelection(
         nodes=None if nodes is None else tuple(nodes),
         balancers=None if balancers is None else tuple(balancers),
-        balancer_params=(
-            tuple(balancer_params.items())
-            if isinstance(balancer_params, Mapping)
-            else tuple(balancer_params)
-        ),
+        balancer_params=_as_pairs(balancer_params),
         autoscale=autoscale,
     )
     if not cluster.is_default and experiment_id not in GRID_BACKED | {"fig6"}:
@@ -417,11 +428,7 @@ def run_registered(
         )
     policy_selection = PolicySelection(
         strategies=None if policies is None else tuple(policies),
-        params=(
-            tuple(policy_params.items())
-            if isinstance(policy_params, Mapping)
-            else tuple(policy_params)
-        ),
+        params=_as_pairs(policy_params),
     )
     if not policy_selection.is_default and experiment_id not in GRID_BACKED:
         raise ValueError(
@@ -429,13 +436,7 @@ def run_registered(
             f"not honor a policy override; grid-backed artifacts: "
             f"{', '.join(sorted(GRID_BACKED))}"
         )
-    failure_selection = FailureSelection(
-        params=(
-            tuple(failure_params.items())
-            if isinstance(failure_params, Mapping)
-            else tuple(failure_params)
-        ),
-    )
+    failure_selection = FailureSelection(params=_as_pairs(failure_params))
     if not failure_selection.is_default:
         if experiment_id not in GRID_BACKED:
             raise ValueError(
@@ -452,11 +453,5 @@ def run_registered(
         executor=executor,
         stats=stats,
     )
-    # A mapping is the natural programmatic spelling (ExperimentConfig
-    # accepts it too); tuple() on a dict would keep only the keys.
-    if isinstance(scenario_params, Mapping):
-        params = tuple(scenario_params.items())
-    else:
-        params = tuple(scenario_params)
-    workload = WorkloadSelection(scenario=scenario, params=params)
+    workload = WorkloadSelection(scenario=scenario, params=_as_pairs(scenario_params))
     return runner(quick, engine, workload, cluster, policy_selection, failure_selection)

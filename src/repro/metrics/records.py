@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.node.invoker import NodeCallInfo
@@ -11,14 +10,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["CallRecord"]
 
 
-@dataclass(frozen=True)
-class CallRecord:
+class CallRecord(NamedTuple):
     """End-to-end measurement of one call.
 
     Times follow the paper's notation: the request is generated at
     ``r(i)`` (:attr:`release_time`), received by the invoker at ``r'(i)``
     (:attr:`received_at`), and its response reaches the client at ``c(i)``
     (:attr:`completed_at`).
+
+    A named tuple, so immutable, and cheap to build, pickle and rebuild
+    from the cache's columns: a record equals the tuple of its field
+    values and iterates over them in field order.  ``_fields`` names the
+    fields, ``_asdict()`` maps them to their values and ``_replace()``
+    returns a copy with some of them changed.
     """
 
     rid: int
@@ -76,22 +80,27 @@ class CallRecord:
         outcome: str = "ok",
     ) -> "CallRecord":
         """Assemble a client record from node-level info plus the moment
-        the response reached the client."""
+        the response reached the client (built with ``tuple.__new__``,
+        which skips the generated keyword ``__new__``)."""
         request = info.request
-        return cls(
-            rid=request.rid,
-            function_name=request.function.name,
-            invoker=info.invoker,
-            release_time=request.release_time,
-            received_at=info.received_at,
-            dispatched_at=info.dispatched_at,
-            exec_start=info.exec_start,
-            exec_end=info.exec_end,
-            completed_at=completed_at,
-            service_time=request.service_time,
-            reference_response_time=request.function.median_response_time,
-            cold_start=info.cold_start,
-            start_kind=info.start_kind,
-            attempts=attempts,
-            outcome=outcome,
+        function = request.function
+        return tuple.__new__(
+            cls,
+            (
+                request.rid,
+                function.name,
+                info.invoker,
+                request.release_time,
+                info.received_at,
+                info.dispatched_at,
+                info.exec_start,
+                info.exec_end,
+                completed_at,
+                request.service_time,
+                function.median_response_time,
+                info.cold_start,
+                info.start_kind,
+                attempts,
+                outcome,
+            ),
         )

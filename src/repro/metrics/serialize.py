@@ -5,13 +5,16 @@
   reference digests hash this form, so it never changes.
 * **Columns** — :func:`records_to_columns` / :func:`records_from_columns`
   are what the on-disk result cache (:mod:`repro.experiments.parallel`)
-  stores: ``{"n": N, "columns": {field: column}}`` in dataclass field
-  order.  A float column is base64 text of its little-endian float64
-  bytes, which keeps every bit (``-0.0``, subnormals, infinities, NaN
-  payloads), so a record loaded from the cache is bit-identical to the
-  record that was stored — the property the serial-vs-parallel identity
-  tests rely on.  A string column is its sorted distinct values plus one
-  integer code per record; integer and boolean columns are plain lists.
+  stores: ``{"n": N, "columns": {field: column}}`` in field order.  A
+  float column is base64 text of its little-endian float64 bytes
+  (:func:`pack_floats`), which keeps every bit (``-0.0``, subnormals,
+  infinities, NaN payloads), so a record loaded from the cache is
+  bit-identical to the record that was stored — the property the
+  serial-vs-parallel identity tests rely on.  A string column is its
+  sorted distinct values plus one integer code per record; integer and
+  boolean columns are plain lists.  The accumulator's t-digests store
+  their centroids with the same float codec
+  (:meth:`repro.metrics.streaming.TDigest.to_dict`).
 
 Decoding validates every column (exactly ``n`` values, string codes in
 range, well-formed base64) and raises :class:`ValueError` on damage, so
@@ -23,10 +26,8 @@ from __future__ import annotations
 
 import base64
 import struct
-from dataclasses import fields
 from itertools import repeat
-from operator import attrgetter
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, get_type_hints
 
 from repro.metrics.records import CallRecord
 
@@ -35,11 +36,13 @@ __all__ = [
     "records_to_dicts",
     "records_to_columns",
     "records_from_columns",
+    "pack_floats",
+    "unpack_floats",
 ]
 
-#: Field order is fixed by the dataclass definition, so serialized records
-#: are stable across runs (useful for diffing cache entries).
-_RECORD_FIELDS = tuple(f.name for f in fields(CallRecord))
+#: Field order is fixed by the named tuple's definition, so serialized
+#: records are stable across runs (useful for diffing cache entries).
+_RECORD_FIELDS = CallRecord._fields
 
 #: Failure-injection fields are serialized *sparsely*: the failure-free
 #: values are omitted, so records from the historical code path — and the
@@ -49,11 +52,10 @@ _SPARSE_DEFAULTS = {"attempts": 1, "outcome": "ok"}
 
 
 def record_to_dict(record: CallRecord) -> Dict[str, Any]:
-    """A JSON-compatible dict with one key per dataclass field (sparse
+    """A JSON-compatible dict with one key per record field (sparse
     fields omitted at their failure-free defaults)."""
     data = {}
-    for name in _RECORD_FIELDS:
-        value = getattr(record, name)
+    for name, value in zip(_RECORD_FIELDS, record):
         if name in _SPARSE_DEFAULTS and value == _SPARSE_DEFAULTS[name]:
             continue
         data[name] = value
@@ -73,15 +75,21 @@ def _unpack_list(column: Any, n: int) -> List[Any]:
     return column
 
 
-def _pack_floats(column: Sequence[float]) -> str:
+def pack_floats(column: Sequence[float]) -> str:
+    """Base64 text of ``column``'s little-endian float64 bytes."""
     return base64.b64encode(struct.pack(f"<{len(column)}d", *column)).decode("ascii")
 
 
-def _unpack_floats(text: str, n: int) -> Sequence[float]:
+def unpack_floats(text: str, n: Optional[int] = None) -> Tuple[float, ...]:
+    """Inverse of :func:`pack_floats`: exactly ``n`` floats, or as many
+    as the bytes hold when ``n`` is ``None``.  Raises :class:`ValueError`
+    on malformed base64, a byte count that is not a multiple of 8, or
+    (given ``n``) a count other than ``n``."""
     raw = base64.b64decode(text, validate=True)
-    if len(raw) != 8 * n:
-        raise ValueError(f"float column holds {len(raw)} bytes, expected {8 * n}")
-    return struct.unpack(f"<{n}d", raw)
+    if len(raw) % 8 or (n is not None and len(raw) != 8 * n):
+        expected = "a multiple of 8" if n is None else 8 * n
+        raise ValueError(f"float column holds {len(raw)} bytes, expected {expected}")
+    return struct.unpack(f"<{len(raw) // 8}d", raw)
 
 
 def _pack_strings(column: Sequence[str]) -> Dict[str, List[Any]]:
@@ -98,16 +106,18 @@ def _unpack_strings(data: Dict[str, List[Any]], n: int) -> List[str]:
     return [values[c] for c in codes]
 
 
-#: Dataclass annotation (a string, the module uses postponed evaluation)
-#: -> (encoder, decoder).  A field of any other type fails at import.
+#: Field type -> (encoder, decoder).  A field of any other type fails at
+#: import.  The types come from ``get_type_hints``: the module uses
+#: postponed evaluation, which leaves a named tuple's annotations as
+#: ``ForwardRef``s.
 _CODECS = {
-    "float": (_pack_floats, _unpack_floats),
-    "str": (_pack_strings, _unpack_strings),
-    "int": (list, _unpack_list),
-    "bool": (list, _unpack_list),
+    float: (pack_floats, unpack_floats),
+    str: (_pack_strings, _unpack_strings),
+    int: (list, _unpack_list),
+    bool: (list, _unpack_list),
 }
-_FIELD_CODECS = tuple(_CODECS[f.type] for f in fields(CallRecord))
-_ROW = attrgetter(*_RECORD_FIELDS)
+_FIELD_TYPES = get_type_hints(CallRecord)
+_FIELD_CODECS = tuple(_CODECS[_FIELD_TYPES[name]] for name in _RECORD_FIELDS)
 
 
 def records_to_columns(records: Sequence[CallRecord]) -> Dict[str, Any]:
@@ -118,7 +128,7 @@ def records_to_columns(records: Sequence[CallRecord]) -> Dict[str, Any]:
     """
     n = len(records)
     columns: Dict[str, Any] = {}
-    transposed = list(zip(*map(_ROW, records))) or [()] * len(_RECORD_FIELDS)
+    transposed = list(zip(*records)) or [()] * len(_RECORD_FIELDS)
     for name, (encode, _), column in zip(_RECORD_FIELDS, _FIELD_CODECS, transposed):
         if name in _SPARSE_DEFAULTS and column.count(_SPARSE_DEFAULTS[name]) == n:
             continue
@@ -131,11 +141,9 @@ def records_from_columns(data: Dict[str, Any]) -> List[CallRecord]:
 
     Unknown columns are ignored; a missing column raises :class:`KeyError`
     unless it is a sparse field, which then holds its default.  Damaged
-    columns raise :class:`ValueError`.  Records are rebuilt the way pickle
-    rebuilds them (``object.__new__`` plus ``__dict__.update``), which
-    skips the frozen dataclass's ``__init__`` and its per-field
-    ``object.__setattr__`` calls; ``CallRecord`` has no ``__post_init__``
-    for this to skip.
+    columns raise :class:`ValueError`.  Each record is built with
+    ``tuple.__new__``, as ``CallRecord._make`` builds one, without the
+    generated keyword ``__new__``.
     """
     n = data["n"]
     if type(n) is not int or n < 0:
@@ -147,10 +155,5 @@ def records_from_columns(data: Dict[str, Any]) -> List[CallRecord]:
             decoded.append(repeat(_SPARSE_DEFAULTS[name], n))
         else:
             decoded.append(decode(columns[name], n))
-    new = object.__new__
-    records = []
-    for row in zip(*decoded):
-        record = new(CallRecord)
-        record.__dict__.update(zip(_RECORD_FIELDS, row))
-        records.append(record)
-    return records
+    new = tuple.__new__
+    return [new(CallRecord, row) for row in zip(*decoded)]

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.metrics.records import CallRecord
+from repro.metrics.serialize import pack_floats, unpack_floats
 from repro.metrics.stats import PAPER_PERCENTILES
 
 __all__ = [
@@ -291,22 +292,32 @@ class TDigest:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible state (floats round-trip exactly via ``repr``)."""
+        """JSON-compatible state.  The centroid means and weights are
+        base64 of their little-endian float64 bytes (the cache's record
+        float-column codec, :func:`~repro.metrics.serialize.pack_floats`);
+        the scalars are JSON floats.  Both round-trip exactly."""
         self._compress()
         return {
             "compression": self.compression,
-            "means": list(self._means),
-            "weights": list(self._weights),
+            "means": pack_floats(self._means),
+            "weights": pack_floats(self._weights),
             "min": self._min,
             "max": self._max,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TDigest":
+        """Inverse of :meth:`to_dict`.  Raises :class:`ValueError` when
+        ``means`` or ``weights`` is not well-formed base64 of whole
+        float64s, or when the two hold different numbers of centroids."""
+        means = unpack_floats(data["means"])
+        weights = unpack_floats(data["weights"])
+        if len(means) != len(weights):
+            raise ValueError(f"{len(means)} centroid means but {len(weights)} weights")
         digest = cls(compression=data["compression"])
-        digest._means = [float(m) for m in data["means"]]
-        digest._weights = [float(w) for w in data["weights"]]
-        digest._count = sum(digest._weights)
+        digest._means = list(means)
+        digest._weights = list(weights)
+        digest._count = sum(weights)
         digest._min = float(data["min"])
         digest._max = float(data["max"])
         return digest

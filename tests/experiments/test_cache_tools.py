@@ -23,7 +23,7 @@ from repro.experiments.parallel import (
     run_configs,
 )
 from repro.experiments.queue import enqueue_config, try_claim
-from repro.metrics.serialize import records_to_dicts
+from repro.metrics.serialize import records_to_dicts, unpack_floats
 
 
 def _config(seed: int = 1, **overrides) -> ExperimentConfig:
@@ -206,21 +206,28 @@ class TestMerge:
             merge_caches(tmp_path / "nope", tmp_path / "dst")
 
 
-def _write_v6_entry(root, config, result, monkeypatch):
-    """An entry as schema 6 stored it: one JSON object per record, under
-    the schema-6 fingerprint."""
+def _write_old_entry(root, config, result, monkeypatch, schema):
+    """An entry as an older schema stored it, under that schema's
+    fingerprint.  Both schemas stored the accumulator's t-digest centroids
+    as JSON float lists; schema 6 also stored one JSON object per record,
+    where schema 8 already stored record columns."""
     with monkeypatch.context() as patch:
-        patch.setattr(parallel, "CACHE_SCHEMA_VERSION", 6)
+        patch.setattr(parallel, "CACHE_SCHEMA_VERSION", schema)
         fingerprint = config_fingerprint(config)
     payload = result_to_payload(result)
-    payload["records"] = records_to_dicts(result.records)
+    if schema == 6:
+        payload["records"] = records_to_dicts(result.records)
+    for name in ("response_digest", "stretch_digest"):
+        digest = payload["accumulator"][name]
+        for key in ("means", "weights"):
+            digest[key] = list(unpack_floats(digest[key]))
     path = root / fingerprint[:2] / f"{fingerprint}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(
         json.dumps(
             {
                 "fingerprint": fingerprint,
-                "schema": 6,
+                "schema": schema,
                 "package_version": repro.__version__,
                 "result": payload,
             }
@@ -229,31 +236,33 @@ def _write_v6_entry(root, config, result, monkeypatch):
     return path
 
 
+@pytest.mark.parametrize("schema", [6, 8])
 class TestSchemaV6Entries:
-    """Row-format entries from before the column layout are never served;
-    ``cache verify`` reports them stale and ``cache gc`` reclaims them."""
+    """Entries from before the current layout are never served: schema 6's
+    rows and schema 8's list-form t-digests alike.  ``cache verify``
+    reports them stale and ``cache gc`` reclaims them."""
 
-    def test_never_served(self, tmp_path, results, monkeypatch):
+    def test_never_served(self, tmp_path, results, monkeypatch, schema):
         config, result = results[0]
-        _write_v6_entry(tmp_path, config, result, monkeypatch)
+        _write_old_entry(tmp_path, config, result, monkeypatch, schema)
         assert ResultCache(tmp_path).load(config) is None
 
-    def test_cache_verify_reports_stale(self, tmp_path, results, monkeypatch, capsys):
+    def test_cache_verify_reports_stale(self, tmp_path, results, monkeypatch, capsys, schema):
         _fill(tmp_path, results[1:])
-        path = _write_v6_entry(tmp_path, *results[0], monkeypatch)
+        path = _write_old_entry(tmp_path, *results[0], monkeypatch, schema)
         assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 1
         assert "scanned: 3  ok: 2  corrupt: 0  stale: 1" in capsys.readouterr().out
         assert not path.exists()
         assert (tmp_path / "quarantine" / f"{path.parent.name}-{path.name}").exists()
 
-    def test_cache_gc_counts_dead_weight(self, tmp_path, results, monkeypatch, capsys):
+    def test_cache_gc_counts_dead_weight(self, tmp_path, results, monkeypatch, capsys, schema):
         _fill(tmp_path, results[1:])
-        path = _write_v6_entry(tmp_path, *results[0], monkeypatch)
+        path = _write_old_entry(tmp_path, *results[0], monkeypatch, schema)
         size = path.stat().st_size
         report = gc_cache(tmp_path)
         assert (report.evicted, report.kept, report.freed_bytes) == (1, 2, size)
         assert report.reasons == {path.stem: "stale"}
         assert not path.exists()
-        _write_v6_entry(tmp_path, *results[0], monkeypatch)
+        _write_old_entry(tmp_path, *results[0], monkeypatch, schema)
         assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
         assert "[1 stale]" in capsys.readouterr().out

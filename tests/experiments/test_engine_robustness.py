@@ -4,6 +4,7 @@ cancelled on the per-cell deadline while the rest of the sweep completes,
 and ``verify_cache`` quarantines damaged cache entries.
 """
 
+import base64
 import json
 import os
 import signal
@@ -320,34 +321,56 @@ class TestVerifyCache:
         assert stems == {config_fingerprint(c) for c in configs}
 
 
-def _truncate_float_column(records):
-    text = records["columns"]["completed_at"]
-    records["columns"]["completed_at"] = text[: len(text) - 8]
+def _truncate_float_column(result):
+    columns = result["records"]["columns"]
+    text = columns["completed_at"]
+    columns["completed_at"] = text[: len(text) - 8]
 
 
-def _drop_one_value(records):
-    records["columns"]["rid"].pop()
+def _drop_one_value(result):
+    result["records"]["columns"]["rid"].pop()
 
 
-def _non_base64(records):
-    text = records["columns"]["exec_end"]
-    records["columns"]["exec_end"] = "*" + text[1:]
+def _non_base64(result):
+    columns = result["records"]["columns"]
+    columns["exec_end"] = "*" + columns["exec_end"][1:]
 
 
-def _negative_code(records):
-    records["columns"]["function_name"]["codes"][0] = -1
+def _negative_code(result):
+    result["records"]["columns"]["function_name"]["codes"][0] = -1
 
 
-def _code_out_of_range(records):
-    column = records["columns"]["start_kind"]
+def _code_out_of_range(result):
+    column = result["records"]["columns"]["start_kind"]
     column["codes"][0] = len(column["values"])
 
 
-def _count_disagrees(records):
-    records["n"] += 1
+def _count_disagrees(result):
+    result["records"]["n"] += 1
 
 
-#: Ways a stored entry's packed record columns can be damaged.
+def _repack(text, cut):
+    """Valid base64 of ``text``'s bytes less the last ``cut``."""
+    return base64.b64encode(base64.b64decode(text)[:-cut]).decode("ascii")
+
+
+def _digest_non_base64(result):
+    digest = result["accumulator"]["response_digest"]
+    digest["means"] = "*" + digest["means"][1:]
+
+
+def _digest_partial_float(result):
+    digest = result["accumulator"]["stretch_digest"]
+    digest["weights"] = _repack(digest["weights"], 4)
+
+
+def _digest_lengths_differ(result):
+    digest = result["accumulator"]["response_digest"]
+    digest["means"] = _repack(digest["means"], 8)
+
+
+#: Ways a stored entry's packed record columns and packed t-digest
+#: centroids can be damaged.
 DAMAGE = {
     "truncated float column": _truncate_float_column,
     "column with n - 1 values": _drop_one_value,
@@ -355,12 +378,16 @@ DAMAGE = {
     "negative string code": _negative_code,
     "out-of-range string code": _code_out_of_range,
     "n disagrees with the columns": _count_disagrees,
+    "non-base64 digest means": _digest_non_base64,
+    "digest weights not whole float64s": _digest_partial_float,
+    "digest means and weights differ in length": _digest_lengths_differ,
 }
 
 
 class TestDamagedPackedEntries:
-    """A damaged record column is a miss for ``load`` and ``corrupt`` for
-    ``verify_cache``, never an exception or wrongly decoded records."""
+    """A damaged record column or t-digest is a miss for ``load`` and
+    ``corrupt`` for ``verify_cache``, never an exception or wrongly
+    decoded results."""
 
     @pytest.mark.parametrize("damage", sorted(DAMAGE))
     def test_damaged_entry_is_a_miss_and_quarantined(self, tmp_path, damage):
@@ -368,7 +395,7 @@ class TestDamagedPackedEntries:
         cache = parallel.ResultCache(tmp_path)
         path = cache.store(config, run_experiment(config))
         payload = json.loads(path.read_text())
-        DAMAGE[damage](payload["result"]["records"])
+        DAMAGE[damage](payload["result"])
         path.write_text(json.dumps(payload))
 
         assert cache.load(config) is None

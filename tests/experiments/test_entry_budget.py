@@ -2,9 +2,10 @@
 
 A warm sweep reads every cell from its cache entry, so the entry's size
 is the read's cost.  The budget pins the column layout described in
-docs/PERFORMANCE.md ("Cache entries"): 660 call records of the 10-core
-v=60 FC cell take ~91 KiB as packed columns, against 273 KiB as one JSON
-object per record.
+docs/PERFORMANCE.md ("Cache entries"): the 10-core v=60 FC cell's entry,
+660 call records as packed columns plus an accumulator whose t-digest
+centroids are packed too (schema 9), takes ~88.5 KiB, against 273 KiB
+with one JSON object per record (schema 6).
 """
 
 from repro.experiments.config import ExperimentConfig

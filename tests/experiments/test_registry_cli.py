@@ -18,6 +18,29 @@ class TestRegistry:
         with pytest.raises(KeyError):
             run_registered("fig99")
 
+    def test_mapping_and_pairs_give_the_same_run(self, monkeypatch):
+        # Every parameter kind reaches the runner as the same pairs, in
+        # the caller's order (not sorted), whichever spelling it came in.
+        calls = []
+        description, _ = EXPERIMENTS["table4"]
+        monkeypatch.setitem(
+            EXPERIMENTS, "table4", (description, lambda *selection: calls.append(selection))
+        )
+        pairs = dict(
+            scenario_params=(("zipf_exponent", 0.5), ("rate", 3.0)),
+            balancer_params=(("seed", 7), ("d", 3)),
+            policy_params=(("smoothing", 0.4), ("alpha", 0.5)),
+            failure_params=(("timeout_s", 2.0), ("max_attempts", 3)),
+        )
+        for spelling in (pairs, {name: dict(value) for name, value in pairs.items()}):
+            run_registered("table4", scenario="poisson", balancers=("power-of-d",), **spelling)
+        assert calls[0] == calls[1]
+        _, _, workload, cluster, policy, failure = calls[0]
+        assert workload.params == pairs["scenario_params"]
+        assert cluster.balancer_params == pairs["balancer_params"]
+        assert policy.params == pairs["policy_params"]
+        assert failure.params == pairs["failure_params"]
+
     def test_descriptions_present(self):
         for _, (description, _) in EXPERIMENTS.items():
             assert description
@@ -205,11 +228,18 @@ class TestScenarioCli:
         assert "scenario=poisson" in report
 
     def test_run_registered_accepts_mapping_params(self):
+        # The title keeps the caller's order, not a sorted one, and the
+        # mapping runs what the same pairs run.
         report = run_registered(
             "table4", quick=True, scenario="poisson",
-            scenario_params={"zipf_exponent": 0.5},
+            scenario_params={"zipf_exponent": 0.5, "rate": 3.0},
         )
         assert "scenario=poisson zipf_exponent=0.5" in report
+        assert "[scenario=poisson zipf_exponent=0.5 rate=3.0]" in report
+        assert report == run_registered(
+            "table4", quick=True, scenario="poisson",
+            scenario_params=(("zipf_exponent", 0.5), ("rate", 3.0)),
+        )
 
 
 class TestPolicyCli:

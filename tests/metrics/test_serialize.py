@@ -4,8 +4,9 @@ column form the on-disk result cache stores."""
 import base64
 import json
 import math
+import pickle
 import struct
-from dataclasses import astuple, fields
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,9 @@ from repro.metrics.serialize import (
     records_to_dicts,
 )
 
-FLOAT_FIELDS = [f.name for f in fields(CallRecord) if f.type == "float"]
+FLOAT_FIELDS = [
+    name for name, kind in get_type_hints(CallRecord).items() if kind is float
+]
 
 
 def make_record(**overrides) -> CallRecord:
@@ -99,9 +102,9 @@ class TestRecordSerialize:
     def test_layout(self):
         data = records_to_columns(make_records())
         assert data["n"] == 3
-        # Dataclass field order, sparse fields left out at their defaults.
+        # Field order, sparse fields left out at their defaults.
         assert list(data["columns"]) == [
-            f.name for f in fields(CallRecord) if f.name not in ("attempts", "outcome")
+            name for name in CallRecord._fields if name not in ("attempts", "outcome")
         ]
         assert data["columns"]["rid"] == [0, 1, 2]
         assert data["columns"]["cold_start"] == [False, True, False]
@@ -158,19 +161,36 @@ class TestRecordSerialize:
         assert records_from_columns(data) == []
 
     def test_rebuild_equals_the_constructor(self):
-        # Records are rebuilt without calling __init__, as pickle does;
-        # that is only sound while the dataclass has no __post_init__.
+        # Records are rebuilt with tuple.__new__, as CallRecord._make
+        # builds them, skipping the generated __new__.  That is only sound
+        # while no hook runs at construction: no __post_init__, and
+        # CallRecord is the generated class itself (a NamedTuple body may
+        # not define __new__), not a subclass that could add one.
         assert not hasattr(CallRecord, "__post_init__")
+        assert CallRecord.__bases__ == (tuple,)
         records = make_records()
         records[2] = make_record(rid=2, attempts=2, outcome="gave-up")
         loaded = records_from_columns(through_json(records_to_columns(records)))
-        built = [CallRecord(*astuple(r)) for r in records]
+        built = [CallRecord(*tuple(r)) for r in records]
         assert loaded == built
-        assert [vars(r) for r in loaded] == [vars(r) for r in built]
+        assert [r._asdict() for r in loaded] == [r._asdict() for r in built]
         assert [repr(r) for r in loaded] == [repr(r) for r in built]
         assert all(type(r) is CallRecord for r in loaded)
         with pytest.raises(AttributeError):
             loaded[0].rid = 99  # still frozen
+        # The worker-to-parent pipe pickles records: the same records come back.
+        unpickled = pickle.loads(pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL))
+        assert unpickled == built
+        assert all(type(r) is CallRecord for r in unpickled)
+        # The rendering the dataclass gave, byte for byte.
+        assert repr(loaded[2]) == (
+            "CallRecord(rid=2, function_name='dna-visualisation', "
+            "invoker='SEPT-node', release_time=0.30000000000000004, "
+            "received_at=0.30000000000000004, dispatched_at=0.5, exec_start=0.6, "
+            "exec_end=1.9, completed_at=2.0, service_time=1.3, "
+            "reference_response_time=1.25, cold_start=False, start_kind='warm', "
+            "attempts=2, outcome='gave-up')"
+        )
 
 
 def _from_bits(bits: int) -> float:
