@@ -44,8 +44,9 @@ def run_autoscaled_baseline(seed: int):
     first.warm_up(sebs_catalog())
     invokers = [first]
     autoscaler = ReactiveAutoscaler(
-        env, invokers, node_config,
+        env, invokers,
         config=AutoscalerConfig(max_nodes=3, provisioning_delay_s=30.0),
+        factory=lambda index: BaselineInvoker(env, node_config, name=f"scaled-{index}"),
     )
     scenario = trace_scenario(PROFILE, np.random.default_rng(seed))
     records = FaaSPlatform(env, invokers).run_scenario(scenario)

@@ -16,18 +16,15 @@ under the same burst.  See ``examples``/benchmarks ``ablations`` usage.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Union
 
 from repro.node.baseline import BaselineInvoker
 from repro.node.invoker import Invoker
-from repro.scheduling.estimator import RuntimeEstimator
 from repro.workload.functions import sebs_catalog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
-    from repro.node.config import NodeConfig
 
 __all__ = ["AutoscalerConfig", "ReactiveAutoscaler"]
 
@@ -78,25 +75,25 @@ class AutoscalerConfig:
 class ReactiveAutoscaler:
     """Adds worker nodes to a platform while a burst is in flight.
 
-    The autoscaler owns a *factory* for new invokers and appends them to
-    the (live) invoker list shared with the platform's load balancer —
-    balancers read ``self.invokers`` on every pick, so new nodes start
-    receiving calls the moment they are ready.
+    The autoscaler builds scaled-out node number *index* with
+    ``factory(index)`` and appends it to the (live) invoker list shared
+    with the platform's load balancer.  Balancers read ``self.invokers``
+    on every pick, so new nodes start receiving calls the moment they
+    are ready.
     """
 
     def __init__(
         self,
         env: "Environment",
         invokers: List[AnyInvoker],
-        node_config: "NodeConfig",
         config: Optional[AutoscalerConfig] = None,
-        factory: Optional[Callable[[int], AnyInvoker]] = None,
+        *,
+        factory: Callable[[int], AnyInvoker],
     ) -> None:
         self.env = env
         self.invokers = invokers
-        self.node_config = node_config
         self.config = config if config is not None else AutoscalerConfig()
-        self._factory = factory if factory is not None else self._default_factory
+        self._factory = factory
         #: (sim time, new fleet size) for every completed scale-out.
         self.scale_events: List[tuple[float, int]] = []
         self._provisioning = 0
@@ -116,37 +113,6 @@ class ReactiveAutoscaler:
     @property
     def fleet_size(self) -> int:
         return len(self.invokers)
-
-    def _default_factory(self, index: int) -> AnyInvoker:
-        """Clone the first node's setup for a scaled-out node.
-
-        The reference policy's estimator settings (window, horizon) carry
-        over, and constructor parameters are recovered by signature
-        introspection for policies that store each parameter under an
-        attribute of the same name (all built-ins do).  Callers whose
-        policies hold richer construction state should pass an explicit
-        ``factory`` — the experiment runner does, rebuilding from its
-        config's ``policy``/``policy_params``.
-        """
-        reference = self.invokers[0]
-        if reference.is_baseline:
-            return BaselineInvoker(self.env, self.node_config, name=f"scaled-{index}")
-        policy = reference.policy
-        estimator = RuntimeEstimator(
-            window=policy.estimator.window,
-            frequency_horizon=policy.estimator.frequency_horizon,
-        )
-        kwargs = {}
-        parameters = list(inspect.signature(type(policy).__init__).parameters)[2:]
-        for name in parameters:  # beyond (self, estimator)
-            if hasattr(policy, name):
-                kwargs[name] = getattr(policy, name)
-        return Invoker(
-            self.env,
-            self.node_config,
-            policy=type(policy)(estimator, **kwargs),
-            name=f"scaled-{index}",
-        )
 
     def _should_scale_out(self) -> bool:
         if self.fleet_size + self._provisioning >= self.config.max_nodes:

@@ -10,15 +10,17 @@ One arrival injector feeds every workload.  A materialised
 :class:`~repro.workload.generator.BurstScenario` and a lazy
 :class:`~repro.workload.generator.RequestStream` both yield their
 requests through ``arrivals()``; the injector pulls them one at a time
-and keeps a single release timeout armed, so the calendar holds the
-calls in flight, never the whole workload (the million-invocation
+and keeps a single release entry in the calendar, so the calendar holds
+the calls in flight, never the whole workload (the million-invocation
 streaming path relies on this).
 
 The client is a chain of calendar callbacks — release time, request leg,
 the invoker's ``done`` event, response leg, then
-:meth:`FaaSPlatform._finish` — with no process of its own.  Under failure
-injection the same chain draws each attempt's fault, races the attempt
-against an optional timeout, and retries with backoff.
+:meth:`FaaSPlatform._finish` — with no process of its own.  Each leg is
+a bare calendar entry that calls the next step with the request or the
+node's timeline.  Under failure injection the same chain draws each
+attempt's fault, races the attempt against an optional timeout, and
+retries with backoff.
 
 Record retention is orthogonal: ``retain_records=False`` skips the
 O(invocations) record list, and a ``collector``
@@ -33,7 +35,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Unio
 from repro.cluster.controller import LoadBalancer, LeastLoadedBalancer
 from repro.cluster.network import NetworkModel
 from repro.metrics.records import CallRecord
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.failures.rng import FailureRng
@@ -132,9 +134,8 @@ class FaaSPlatform:
 
     # -- the arrival injector ---------------------------------------------
     def _inject(self) -> None:
-        """Send every request released by now, then arm one release
-        timeout for the next.  Once the arrivals run dry, injection is
-        done."""
+        """Send every request released by now, then schedule the release
+        of the next.  Once the arrivals run dry, injection is done."""
         env = self.env
         for request in self._arrivals:
             release = request.release_time
@@ -149,26 +150,23 @@ class FaaSPlatform:
             self._last_release = release
             self._pending += 1
             if release > env.now:
-                timeout = Timeout(env, release - env.now, request)
-                timeout.callbacks.append(self._on_release)
+                env.call_later(release - env.now, self._on_release, request)
                 return
             self._send(request)
         self._injecting = False
         if self._pending == 0:
             self._all_done.succeed()
 
-    def _on_release(self, release: Timeout) -> None:
-        self._send(release.value)
+    def _on_release(self, request: "Request") -> None:
+        self._send(request)
         self._inject()
 
-    # -- the client: one callback per calendar event ----------------------
+    # -- the client: one callback per calendar entry ----------------------
     def _send(self, request: "Request") -> None:
         # Request leg: client -> controller/Kafka -> invoker.
-        leg = Timeout(self.env, self.network.request_delay(), request)
-        leg.callbacks.append(self._on_received)
+        self.env.call_later(self.network.request_delay(), self._on_received, request)
 
-    def _on_received(self, leg: Timeout) -> None:
-        request = leg.value
+    def _on_received(self, request: "Request") -> None:
         spec = self.failures
         fault = None
         if spec is not None:
@@ -183,8 +181,7 @@ class FaaSPlatform:
         done = self.invokers[index].submit(request, fault)
         done.callbacks.append(self._on_done)
         if spec is not None and spec.timeout_s > 0.0:
-            timeout = Timeout(self.env, spec.timeout_s, (request, done))
-            timeout.callbacks.append(self._on_timeout)
+            self.env.call_later(spec.timeout_s, self._on_timeout, (request, done))
 
     def _on_done(self, done: Event) -> None:
         info = done.value
@@ -192,11 +189,9 @@ class FaaSPlatform:
             self._retry(info.request, info)
             return
         # Response leg: invoker -> client.
-        leg = Timeout(self.env, self.network.response_delay(), info)
-        leg.callbacks.append(self._on_response)
+        self.env.call_later(self.network.response_delay(), self._on_response, info)
 
-    def _on_response(self, leg: Timeout) -> None:
-        info = leg.value
+    def _on_response(self, info: "NodeCallInfo") -> None:
         attempts = 1 if self.failures is None else self._attempts.pop(info.request.rid)
         self._finish(CallRecord.from_node_info(info, self.env.now, attempts=attempts))
 
@@ -211,8 +206,8 @@ class FaaSPlatform:
             self._all_done.succeed()
 
     # -- retries (failure injection only; docs/FAILURES.md) ----------------
-    def _on_timeout(self, timeout: Timeout) -> None:
-        request, done = timeout.value
+    def _on_timeout(self, race: "tuple[Request, Event]") -> None:
+        request, done = race
         if done.triggered:
             # Answered in time, or at this very moment: _on_done takes it.
             return
@@ -237,13 +232,9 @@ class FaaSPlatform:
             return
         delay = spec.backoff_base_s * spec.backoff_factor ** (attempt - 1)
         if delay > 0:
-            backoff = Timeout(self.env, delay, request)
-            backoff.callbacks.append(self._on_backoff)
+            self.env.call_later(delay, self._send, request)
         else:
             self._send(request)
-
-    def _on_backoff(self, backoff: Timeout) -> None:
-        self._send(backoff.value)
 
     def _gave_up(
         self, request: "Request", info: Optional["NodeCallInfo"], attempts: int

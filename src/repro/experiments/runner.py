@@ -316,14 +316,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if autoscaler_config is not None:
         # The autoscaler appends to the same (live) list the balancer and
         # platform hold, so scaled-out nodes become routable immediately.
-        # Scaled-out nodes rebuild the policy from the experiment config —
-        # name, policy_params, and the node's estimator settings — rather
-        # than the autoscaler's generic default factory, which knows none
-        # of them.
+        # Scaled-out nodes rebuild the policy from the experiment config:
+        # name, policy_params, and the node's estimator settings.
         autoscaler = ReactiveAutoscaler(
             env,
             invokers,
-            base_node,
             config=autoscaler_config,
             factory=lambda index: _build_invoker(
                 env, config, f"scaled-{index}", base_node

@@ -25,8 +25,9 @@ from repro.node.docker import DockerDaemon
 from repro.node.invoker import NodeCallInfo
 from repro.node.memory import MemoryPool
 from repro.node.pool import ContainerPool
+from repro.sim.core import URGENT
 from repro.sim.cpu import SharedCPU, linear_overhead_efficiency
-from repro.sim.events import Event, Timeout, urgent
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.failures.rng import AttemptFault
@@ -164,12 +165,12 @@ class BaselineInvoker:
             info.start_kind = plan.kind
             attempt = _BaselineAttempt(self, request, info, done, plan.container, fault)
             if overhead:
-                Timeout(env, overhead).callbacks.append(attempt.start)
+                env.call_later(overhead, attempt.start)
             else:
                 # The daemon operations and the system work must follow
                 # every placement of this loop: start from an URGENT
                 # entry, after the loop.
-                urgent(env, attempt.start)
+                env.call_later(0.0, attempt.start, None, URGENT)
 
     # The baseline replenishes its prewarm stock in the background; we
     # model a fixed initial stock only — under the paper's workloads the
@@ -218,7 +219,7 @@ class _BaselineAttempt:
         self.fault = fault
         self.weight = container.memory_mb / _STD_MEMORY_MB
 
-    def start(self, _event: Event) -> None:
+    def start(self, _arg: None) -> None:
         node = self.node
         if self.done.triggered:  # the node crashed meanwhile
             node.pool.release(self.container)
@@ -234,65 +235,66 @@ class _BaselineAttempt:
         elif kind == "cold":
             node.daemon.op("create", self.info.received_at, self.initialise)
         else:  # "prewarm": shells sit paused
-            Timeout(node.env, node.config.unpause_latency_s).callbacks.append(self.initialise)
+            node.env.call_later(node.config.unpause_latency_s, self.initialise)
 
     def unpause(self) -> None:
         node = self.node
-        Timeout(node.env, node.config.unpause_latency_s).callbacks.append(self.placed)
+        node.env.call_later(node.config.unpause_latency_s, self.placed)
 
-    def initialise(self, _event: Optional[Event] = None) -> None:
+    def initialise(self, _arg: None = None) -> None:
         config = self.node.config
         if self.info.start_kind == "cold":
             latency = config.cold_init_latency_s
         else:
             latency = config.prewarm_init_latency_s
-        Timeout(self.node.env, latency).callbacks.append(self.init_cpu)
+        self.node.env.call_later(latency, self.init_cpu)
 
-    def init_cpu(self, _event: Event) -> None:
+    def init_cpu(self, _arg: None) -> None:
         node = self.node
         if self.info.start_kind == "cold":
             work, label = node.config.cold_init_cpu_s, "cold-init"
         else:
             work, label = node.config.prewarm_init_cpu_s, "prewarm-init"
         if work:
-            task = node.cpu.execute(work, weight=self.weight, label=label)
-            task.event.callbacks.append(self.placed)
+            node.cpu.execute(work, weight=self.weight, label=label, then=self.placed)
         else:
             self.placed()
 
-    def placed(self, _event: Optional[Event] = None) -> None:
+    def placed(self, _task: object = None) -> None:
         node = self.node
         self.container.state = ContainerState.HOT
         config = node.config
         system_work = config.system_cpu_coeff_s * max(0, min(node._running, config.cores) - 1)
         if system_work > 0:
-            task = node.cpu.execute(system_work, weight=self.weight, label="system")
-            task.event.callbacks.append(self.execute)
+            node.cpu.execute(system_work, weight=self.weight, label="system", then=self.execute)
         else:
             self.execute()
 
-    def execute(self, _event: Optional[Event] = None) -> None:
+    def execute(self, _task: object = None) -> None:
         env = self.node.env
         self.info.exec_start = env.now
         request, fault = self.request, self.fault
         io_time = request.io_time if fault is None else fault.scale(request.io_time)
         if io_time > 0:
-            Timeout(env, io_time).callbacks.append(self.compute)
+            env.call_later(io_time, self.compute)
         else:
             self.compute()
 
-    def compute(self, _event: Optional[Event] = None) -> None:
+    def compute(self, _arg: None = None) -> None:
         request, fault = self.request, self.fault
         cpu_work = request.cpu_work if fault is None else fault.scale(request.cpu_work)
         if cpu_work > 0:
-            task = self.node.cpu.execute(
-                cpu_work, weight=self.weight, max_rate=1.0, label=request.function.name
+            self.node.cpu.execute(
+                cpu_work,
+                weight=self.weight,
+                max_rate=1.0,
+                label=request.function.name,
+                then=self.finish,
             )
-            task.event.callbacks.append(self.finish)
         else:
             self.finish()
 
-    def finish(self, _event: Optional[Event] = None) -> None:
+    def finish(self, _task: object = None) -> None:
         node = self.node
         info, done, container = self.info, self.done, self.container
         info.exec_end = node.env.now

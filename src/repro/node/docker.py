@@ -25,8 +25,6 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
-from repro.sim.events import Event, Timeout
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
     from repro.node.config import NodeConfig
@@ -45,8 +43,9 @@ class DockerDaemon:
     enqueue time, which interleaves them fairly with FIFO-ordered work.
 
     The daemon is one busy flag and a heap of ``(priority, arrival,
-    slot)`` for the operations waiting behind the one in service; each
-    operation's *slot* event succeeds when the daemon turns to it.
+    op)`` for the operations waiting behind the one in service; the
+    daemon grants an operation its slot with a zero-delay calendar entry
+    that calls the operation's :meth:`_Op.serve`.
     """
 
     #: Known operation kinds, mapped to their NodeConfig duration field.
@@ -61,7 +60,7 @@ class DockerDaemon:
         self.env = env
         self.config = config
         self._busy = False
-        self._waiting: List[Tuple[float, int, Event]] = []
+        self._waiting: List[Tuple[float, int, _Op]] = []
         self._arrivals = count()
         #: Completed-operation counters by kind.
         self.op_counts: Dict[str, int] = {kind: 0 for kind in self.OP_FIELDS}
@@ -89,21 +88,20 @@ class DockerDaemon:
 
         The operation waits for its slot, holds the daemon for its
         duration, and hands the daemon to the next waiting operation.
-        ``then()`` runs from the callback of the operation's timeout, once
-        the next slot is granted and the counters are updated.  Without an
-        explicit *priority* the operation is served in enqueue-time order.
+        ``then()`` runs from the calendar entry that ends the operation,
+        once the next slot is granted and the counters are updated.
+        Without an explicit *priority* the operation is served in
+        enqueue-time order.
         """
-        duration = self.duration_of(kind)
+        op = _Op(self, kind, self.duration_of(kind), then)
         env = self.env
         if priority is None:
             priority = env.now
-        slot = Event(env)
         if self._busy:
-            heappush(self._waiting, (priority, next(self._arrivals), slot))
+            heappush(self._waiting, (priority, next(self._arrivals), op))
         else:
             self._busy = True
-            slot.succeed()
-        slot.callbacks.append(_Op(self, kind, duration, then).serve)
+            env.call_later(0.0, op.serve)
 
     def utilization(self) -> float:
         """Fraction of elapsed time the daemon has been busy."""
@@ -129,15 +127,15 @@ class _Op:
         self.duration = duration
         self.then = then
 
-    def serve(self, _slot: Event) -> None:
+    def serve(self, _arg: None) -> None:
         """The daemon turned to this operation: hold it for the duration."""
-        Timeout(self.daemon.env, self.duration).callbacks.append(self.finish)
+        self.daemon.env.call_later(self.duration, self.finish)
 
-    def finish(self, _timeout: Timeout) -> None:
+    def finish(self, _arg: None) -> None:
         """Hand the daemon on, count the operation, and continue."""
         daemon = self.daemon
         if daemon._waiting:
-            heappop(daemon._waiting)[2].succeed()
+            daemon.env.call_later(0.0, heappop(daemon._waiting)[2].serve)
         else:
             daemon._busy = False
         daemon.op_counts[self.kind] += 1

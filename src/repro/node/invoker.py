@@ -21,8 +21,9 @@ from repro.node.pool import ContainerPool
 from repro.scheduling.policies import SchedulingPolicy
 from repro.scheduling.queue import StablePriorityQueue
 from repro.scheduling.registry import build_policy
+from repro.sim.core import URGENT
 from repro.sim.cpu import DedicatedCPU, SharedCPU, linear_overhead_efficiency
-from repro.sim.events import Event, Timeout, urgent
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.failures.rng import AttemptFault
@@ -244,20 +245,21 @@ class Invoker:
             info.dispatched_at = env.now
             attempt = _Attempt(self, request, info, done, priority, fault)
             if overhead:
-                Timeout(env, overhead).callbacks.append(attempt.arrange)
+                env.call_later(overhead, attempt.arrange)
             else:
                 # acquire() and the system work must see every dispatch of
                 # this loop: arrange from an URGENT entry, after the loop.
-                urgent(env, attempt.arrange)
+                env.call_later(0.0, attempt.arrange, None, URGENT)
 
 
 class _Attempt:
     """One attempt of one call on our invoker, run as calendar callbacks.
 
-    Each step is a method; it arms the next one by appending it (a bound
-    method) to the callbacks of the event it waits for, or calls it at
-    once when there is nothing to wait for.  The steps of the call
-    lifecycle (paper Sect. IV), in order:
+    Each step is a method; it arms the next one by putting it (a bound
+    method) in the calendar entry it waits for — a delay, a daemon
+    operation or a CPU task — or calls it at once when there is nothing
+    to wait for.  The steps of the call lifecycle (paper Sect. IV), in
+    order:
 
     1. *dispatch* (:meth:`Invoker._maybe_dispatch`): pop the call,
        ``_busy += 1``, stamp ``dispatched_at``; wait the invoker overhead.
@@ -294,7 +296,7 @@ class _Attempt:
         self.fault = fault
         self.container: Optional[Container] = None
 
-    def arrange(self, _event: Event) -> None:
+    def arrange(self, _arg: None) -> None:
         node = self.node
         if self.done.triggered:  # the node crashed meanwhile
             node._busy -= 1
@@ -304,7 +306,7 @@ class _Attempt:
             # Memory exhausted and nothing evictable (all containers busy):
             # wait briefly for a release.  With busy <= cores and bounded
             # per-container memory this is rare by construction.
-            Timeout(node.env, node.config.pause_grace_s).callbacks.append(self.arrange)
+            node.env.call_later(node.config.pause_grace_s, self.arrange)
             return
         self.container = plan.container
         kind = self.info.start_kind = plan.kind
@@ -324,17 +326,16 @@ class _Attempt:
 
     def initialise(self) -> None:
         node = self.node
-        Timeout(node.env, node.config.cold_init_latency_s).callbacks.append(self.init_cpu)
+        node.env.call_later(node.config.cold_init_latency_s, self.init_cpu)
 
-    def init_cpu(self, _event: Event) -> None:
+    def init_cpu(self, _arg: None) -> None:
         node = self.node
         if node.config.cold_init_cpu_s:
-            task = node.cpu.execute(node.config.cold_init_cpu_s, label="cold-init")
-            task.event.callbacks.append(self.placed)
+            node.cpu.execute(node.config.cold_init_cpu_s, label="cold-init", then=self.placed)
         else:
             self.placed()
 
-    def placed(self, _event: Optional[Event] = None) -> None:
+    def placed(self, _task: object = None) -> None:
         node = self.node
         container = self.container
         container.state = ContainerState.HOT
@@ -350,34 +351,34 @@ class _Attempt:
             # to the call's core.  Happens before the in-container execution
             # window the invoker measures, so the estimator sees the
             # function's own duration (paper Sect. IV).
-            task = node.cpu.execute(system_work, weight=1.0, max_rate=1.0, label="system")
-            task.event.callbacks.append(self.execute)
+            node.cpu.execute(
+                system_work, weight=1.0, max_rate=1.0, label="system", then=self.execute
+            )
         else:
             self.execute()
 
-    def execute(self, _event: Optional[Event] = None) -> None:
+    def execute(self, _task: object = None) -> None:
         # The call runs on a dedicated core; its I/O leaves the core idle.
         env = self.node.env
         self.info.exec_start = env.now
         request, fault = self.request, self.fault
         io_time = request.io_time if fault is None else fault.scale(request.io_time)
         if io_time > 0:
-            Timeout(env, io_time).callbacks.append(self.compute)
+            env.call_later(io_time, self.compute)
         else:
             self.compute()
 
-    def compute(self, _event: Optional[Event] = None) -> None:
+    def compute(self, _arg: None = None) -> None:
         request, fault = self.request, self.fault
         cpu_work = request.cpu_work if fault is None else fault.scale(request.cpu_work)
         if cpu_work > 0:
-            task = self.node.cpu.execute(
-                cpu_work, weight=1.0, max_rate=1.0, label=request.function.name
+            self.node.cpu.execute(
+                cpu_work, weight=1.0, max_rate=1.0, label=request.function.name, then=self.finish
             )
-            task.event.callbacks.append(self.finish)
         else:
             self.finish()
 
-    def finish(self, _event: Optional[Event] = None) -> None:
+    def finish(self, _task: object = None) -> None:
         node = self.node
         info, done, container = self.info, self.done, self.container
         info.exec_end = node.env.now

@@ -21,7 +21,7 @@ from itertools import count
 from typing import TYPE_CHECKING, List, Literal, Optional
 
 from repro.node.container import Container, ContainerState
-from repro.sim.events import Event, Timeout, urgent
+from repro.sim.core import URGENT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -214,8 +214,9 @@ class ContainerPool:
         container.pause_version += 1
         container.state = _HOT
         self._idle[container] = container.stamp
-        grace = Timeout(self.env, self.config.pause_grace_s, (container, container.pause_version))
-        grace.callbacks.append(self._grace_expired)
+        self.env.call_later(
+            self.config.pause_grace_s, self._grace_expired, (container, container.pause_version)
+        )
 
     # ------------------------------------------------------------------
     # Eviction
@@ -246,7 +247,7 @@ class ContainerPool:
         self.evictions += 1
         # The remove asks for the daemon from a zero-delay URGENT entry,
         # not here: the caller of acquire() issues its own create first.
-        urgent(self.env, self._remove)
+        self.env.call_later(0.0, self._remove, None, URGENT)
 
     def _ensure_memory(self, amount_mb: int) -> bool:
         """Evict idle LRU containers until *amount_mb* fits; False if the
@@ -276,11 +277,11 @@ class ContainerPool:
         container.last_used = self.env.now
         container.pause_version += 1  # invalidate pending pause timers
 
-    def _remove(self, _start: Event) -> None:
+    def _remove(self, _arg: None) -> None:
         self.daemon.op("remove")
 
-    def _grace_expired(self, grace: Timeout) -> None:
-        container, version = grace.value
+    def _grace_expired(self, grace: tuple[Container, int]) -> None:
+        container, version = grace
         if container.pause_version != version or container.busy:
             return  # reused (or evicted) in the meantime
         if container.state is not _HOT:

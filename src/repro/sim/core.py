@@ -1,21 +1,30 @@
 """Event calendar and simulation clock.
 
 The :class:`Environment` owns a binary-heap calendar of ``[time, priority,
-sequence, event]`` entries.  Entries with equal time are popped in insertion
-order (FIFO), which makes simulations fully deterministic for a fixed seed.
+sequence, fn, arg]`` entries; processing an entry calls ``fn(arg)``.
+Entries with equal time and priority are popped in insertion order (FIFO),
+which makes simulations fully deterministic for a fixed seed.
 
-Calendar entries are *cancellable*: :meth:`Environment.schedule` returns an
-opaque handle that :meth:`Environment.cancel_scheduled` turns into a lazy
-tombstone — the entry stays in the heap but is skipped (never processed)
-when it surfaces.  A live-entry counter drives loop termination, and the
-heap is compacted (tombstones filtered out, then re-heapified) once dead
-entries outnumber live ones, so a component that re-arms a timer on every
-state change cannot grow the calendar without bound.
+:meth:`Environment.call_later` pushes such an entry after a delay, and the
+per-call path waits on nothing else: the client's legs, each attempt's
+steps, the docker daemon, the container pool's timers and the CPU banks'
+completions hold their callback in the entry itself.  A one-shot
+:class:`~repro.sim.events.Event` is an entry whose function runs the
+event's callback list; it is left only where something waits on an
+outcome (an invoker's ``done`` handle, ``run(until=event)``, and the
+coroutine processes of the cold path).
 
-:class:`ReusableTimer` packages the common re-arming pattern: one
-heap-allocated object whose ``arm``/``cancel`` cycle replaces the historical
-"allocate a fresh Timeout and let the superseded one fire inertly" idiom
-(see :class:`repro.sim.cpu.SharedCPU`).
+Calendar entries are *cancellable*: :meth:`Environment.cancel_scheduled`
+turns an entry into a lazy tombstone (``fn`` set to ``None``) — it stays in
+the heap but is skipped (never processed) when it surfaces.  A live-entry
+counter drives loop termination, and the heap is compacted (tombstones
+filtered out, then re-heapified) once dead entries outnumber live ones,
+so a component that re-arms a timer on every state change cannot grow the
+calendar without bound.
+
+:class:`ReusableTimer` packages the common re-arming pattern: one object
+whose ``arm``/``cancel`` cycle tombstones the superseded entry instead of
+letting it fire inertly (see :class:`repro.sim.cpu.SharedCPU`).
 """
 
 from __future__ import annotations
@@ -39,8 +48,9 @@ NORMAL = 1
 #: scheduled at the same timestamp (e.g. process resumption).
 URGENT = 0
 
-#: A calendar entry: ``[time, priority, sequence, event_or_None]``.
-#: ``None`` in the last slot marks a cancelled (tombstoned) entry.
+#: A calendar entry: ``[time, priority, sequence, fn, arg]``, processed as
+#: ``fn(arg)``.  ``None`` for ``fn`` marks a processed or cancelled
+#: (tombstoned) entry.
 Entry = List[Any]
 
 #: Compaction threshold: rebuild the heap once it holds more than this many
@@ -98,23 +108,25 @@ class Environment:
         """Current simulation time (seconds)."""
         return self._now
 
-    def schedule(self, event: "Event", delay: float = 0.0, priority: int = NORMAL) -> Entry:
-        """Insert *event* into the calendar ``delay`` seconds from now.
+    def call_later(
+        self, delay: float, fn: Callable[[Any], None], arg: Any = None, priority: int = NORMAL
+    ) -> Entry:
+        """Call ``fn(arg)`` from a calendar entry ``delay`` seconds from now.
 
-        Returns the calendar entry — an opaque handle accepted by
+        Returns the entry — an opaque handle accepted by
         :meth:`cancel_scheduled`.
         """
         if delay < 0:
-            raise SimulationError(f"cannot schedule event in the past (delay={delay!r})")
-        entry: Entry = [self._now + delay, priority, self._next_eid(), event]
+            raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
+        entry: Entry = [self._now + delay, priority, self._next_eid(), fn, arg]
         heappush(self._queue, entry)
         self._live += 1
         return entry
 
     def cancel_scheduled(self, entry: Entry) -> bool:
-        """Tombstone a calendar *entry* returned by :meth:`schedule`.
+        """Tombstone a calendar *entry* returned by :meth:`call_later`.
 
-        The event will never be processed.  Returns ``False`` if the entry
+        Its function will never be called.  Returns ``False`` if the entry
         already ran or was already cancelled.  O(1) amortised: the dead
         entry is skipped when popped, and the heap is compacted once dead
         entries outnumber live ones.
@@ -165,23 +177,15 @@ class Environment:
                 entry = heappop(queue)
             except IndexError:
                 raise SimulationError("no scheduled events") from None
-            event = entry[3]
-            if event is not None:
+            fn = entry[3]
+            if fn is not None:
                 break
         self._live -= 1
         # Neutralize the handle: a later cancel_scheduled() on this entry
         # must be a reported no-op, not a live-counter corruption.
         entry[3] = None
         self._now = entry[0]
-        # Snapshot the callback list: an event's callbacks may legitimately
-        # register new callbacks on other events while running.
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event.ok and not event.defused:
-            # An unhandled failure propagates out of the event loop.
-            exc = event.value
-            raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
+        fn(entry[4])
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.
@@ -249,27 +253,15 @@ class ReusableTimer:
 
     One timer object serves an unbounded number of ``arm``/``fire`` cycles:
     re-arming tombstones the previous calendar entry (which therefore never
-    fires) and pushes a fresh one.  This replaces the allocate-a-``Timeout``
-    -per-re-arm pattern, in which superseded timeouts stayed in the heap
-    and had to be filtered by generation counters in the callback.
-
-    Not an :class:`~repro.sim.events.Event`: it cannot be yielded on or
-    awaited — it satisfies exactly the calendar's processing protocol
-    (``callbacks``/``ok``/``defused``).
+    fires) and pushes a fresh one whose function is the timer's own.
     """
 
-    __slots__ = ("env", "_fn", "_cblist", "_entry", "callbacks", "defused")
-
-    #: Calendar protocol: a timer firing is always a success.
-    ok = True
+    __slots__ = ("env", "_fn", "_entry")
 
     def __init__(self, env: Environment, callback: Callable[[], None]) -> None:
         self.env = env
         self._fn = callback
-        self._cblist = [self._fire]
         self._entry: Optional[Entry] = None
-        self.callbacks: Optional[list] = None
-        self.defused = True
 
     @property
     def armed(self) -> bool:
@@ -279,16 +271,16 @@ class ReusableTimer:
 
     def arm(self, delay: float, priority: int = NORMAL) -> None:
         """(Re)schedule the callback ``delay`` seconds from now, cancelling
-        any previously armed firing."""
+        any previously armed firing.  A negative delay raises and leaves
+        the armed firing in place."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
         env = self.env
         entry = self._entry
         if entry is not None and entry[3] is not None:
             env.cancel_scheduled(entry)
-        self.callbacks = self._cblist
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event in the past (delay={delay!r})")
-        # Inlined ``env.schedule``: the CPU bank re-arms on every change.
-        entry = self._entry = [env._now + delay, priority, env._next_eid(), self]
+        # Inlined ``env.call_later``: the CPU bank re-arms on every change.
+        entry = self._entry = [env._now + delay, priority, env._next_eid(), _fire, self]
         heappush(env._queue, entry)
         env._live += 1
 
@@ -299,13 +291,15 @@ class ReusableTimer:
             self.env.cancel_scheduled(entry)
         self._entry = None
 
-    def _fire(self, _event: "ReusableTimer") -> None:
-        self._entry = None
-        self._fn()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "armed" if self.armed else "idle"
         return f"<ReusableTimer {state} at {id(self):#x}>"
+
+
+def _fire(timer: ReusableTimer) -> None:
+    """Calendar function of an armed :class:`ReusableTimer`."""
+    timer._entry = None
+    timer._fn()
 
 
 def _stop_simulation(event: "Event") -> None:

@@ -30,7 +30,9 @@ That order fixes every floating-point result: each task's
 the left-fold of the rates, the completion order, and the wake-up at the
 minimum ``work / rate``.  The wake-up is a
 :class:`~repro.sim.core.ReusableTimer`: re-arming tombstones the superseded
-calendar entry instead of leaving a stale ``Timeout`` to fire inertly.
+calendar entry instead of leaving a stale one to fire inertly.  A task
+submitted with ``then`` completes through a calendar entry that calls
+``then(task)``, pushed at the moment the task finishes.
 
 :class:`DedicatedCPU` serves the paper's invoker, which never runs more
 than ``cores`` tasks and gives each exactly one core.  That is
@@ -45,9 +47,8 @@ rate/weight/cap columns are gone.  A task that would share a core raises.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
-from repro.sim.events import Event
 from repro.sim.waterfill import waterfill_rates
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,6 +58,9 @@ __all__ = ["CpuTask", "DedicatedCPU", "DedicatedTask", "SharedCPU", "linear_over
 
 #: Remaining work below this threshold counts as finished (core-seconds).
 _EPS = 1e-9
+
+#: What a finished task calls back: ``then(task)``.
+Then = Optional[Callable[[Any], None]]
 
 
 def linear_overhead_efficiency(kappa: float) -> Callable[[int, int], float]:
@@ -81,18 +85,18 @@ def linear_overhead_efficiency(kappa: float) -> Callable[[int, int], float]:
 class CpuTask:
     """A unit of CPU demand executing on a :class:`SharedCPU`.
 
-    ``event`` triggers (with the task) when the work completes.
+    The calendar calls ``then(task)`` when the work completes.
     """
 
-    __slots__ = ("weight", "max_rate", "event", "label", "_work", "_rate", "_bank")
+    __slots__ = ("weight", "max_rate", "then", "label", "_work", "_rate", "_bank")
 
     def __init__(
-        self, work: float, weight: float, max_rate: float, event: Event, label: str = ""
+        self, work: float, weight: float, max_rate: float, then: Then = None, label: str = ""
     ) -> None:
         self._work = float(work)
         self.weight = float(weight)
         self.max_rate = float(max_rate)
-        self.event = event
+        self.then = then
         self.label = label
         self._rate = 0.0
         #: The bank while the task is live; its columns then hold the
@@ -175,19 +179,20 @@ class SharedCPU:
         weight: float = 1.0,
         max_rate: float = 1.0,
         label: str = "",
+        then: Then = None,
     ) -> CpuTask:
-        """Submit *work* core-seconds; returns the task (``task.event`` fires
-        on completion)."""
+        """Submit *work* core-seconds; returns the task.  On completion a
+        calendar entry calls ``then(task)`` (none without *then*)."""
         if work < 0:
             raise ValueError(f"work must be non-negative, got {work!r}")
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight!r}")
         if max_rate <= 0:
             raise ValueError(f"max_rate must be positive, got {max_rate!r}")
-        task = CpuTask(work, weight, min(max_rate, self.cores), Event(self.env), label)
+        task = CpuTask(work, weight, min(max_rate, self.cores), then, label)
         self._advance()
         if task._work <= _EPS:
-            task.event.succeed(task)
+            _complete(self.env, task)
         else:
             task._bank = self
             tasks = self._tasks
@@ -234,12 +239,13 @@ class SharedCPU:
             self._finish_pending = []
             tasks, works, rates = self._tasks, self._works, self._rates
             weights, caps = self._weights, self._caps
+            env = self.env
             for i in done:
                 task = tasks[i]
                 task._work = 0.0
                 task._rate = rates[i]
                 task._bank = None
-                task.event.succeed(task)
+                _complete(env, task)
             for i in reversed(done):
                 del tasks[i], works[i], rates[i], weights[i], caps[i]
 
@@ -279,13 +285,13 @@ class SharedCPU:
 class DedicatedTask:
     """A unit of CPU demand holding one core of a :class:`DedicatedCPU`.
 
-    ``event`` triggers (with the task) when the work completes.
+    The calendar calls ``then(task)`` when the work completes.
     """
 
-    __slots__ = ("event", "label")
+    __slots__ = ("then", "label")
 
-    def __init__(self, event: Event, label: str) -> None:
-        self.event = event
+    def __init__(self, then: Then, label: str) -> None:
+        self.then = then
         self.label = label
 
 
@@ -336,10 +342,12 @@ class DedicatedCPU:
         weight: float = 1.0,
         max_rate: float = 1.0,
         label: str = "",
+        then: Then = None,
     ) -> DedicatedTask:
         """Submit *work* core-seconds on a core of its own; returns the
-        task (``task.event`` fires on completion).  *weight* is accepted
-        for :class:`SharedCPU` compatibility and has no effect."""
+        task.  On completion a calendar entry calls ``then(task)`` (none
+        without *then*).  *weight* is accepted for :class:`SharedCPU`
+        compatibility and has no effect."""
         if work < 0:
             raise ValueError(f"work must be non-negative, got {work!r}")
         if weight <= 0:
@@ -357,10 +365,10 @@ class DedicatedCPU:
                 f"task {label!r} would be live task {len(tasks) + 1} "
                 f"on {self.cores} dedicated cores"
             )
-        task = DedicatedTask(Event(self.env), label)
+        task = DedicatedTask(then, label)
         self._advance()
         if work <= _EPS:
-            task.event.succeed(task)
+            _complete(self.env, task)
         else:
             self._works.append(work)
             tasks.append(task)
@@ -393,11 +401,10 @@ class DedicatedCPU:
             return
         soonest = min(works)
         if soonest <= _EPS:
-            tasks = self._tasks
+            tasks, env = self._tasks, self.env
             done = [i for i, w in enumerate(works) if w <= _EPS]
             for i in done:
-                task = tasks[i]
-                task.event.succeed(task)
+                _complete(env, tasks[i])
             for i in reversed(done):
                 del works[i]
                 del tasks[i]
@@ -410,3 +417,9 @@ class DedicatedCPU:
     def _on_wake(self) -> None:
         self._advance()
         self._settle()
+
+
+def _complete(env: "Environment", task: "CpuTask | DedicatedTask") -> None:
+    """Call ``task.then(task)`` from a zero-delay calendar entry."""
+    if task.then is not None:
+        env.call_later(0.0, task.then, task)

@@ -1,16 +1,20 @@
-"""One-shot events and timeouts."""
+"""One-shot events and timeouts.
+
+An event is what something waits on: its callback list runs from one
+calendar entry, :func:`_process`.  The per-call path waits on plain
+calendar entries instead (:meth:`~repro.sim.core.Environment.call_later`);
+events are left for an invoker's ``done`` handle, ``run(until=event)`` and
+the coroutine processes of the cold path.
+"""
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
-
-from repro.sim.core import NORMAL, URGENT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
 
-__all__ = ["Event", "Timeout", "PENDING", "urgent"]
+__all__ = ["Event", "Timeout", "PENDING"]
 
 #: Sentinel for "event not yet triggered".
 PENDING = object()
@@ -69,10 +73,7 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        # Inlined ``env.schedule(self)``: the hottest push of the kernel.
-        env = self.env
-        heappush(env._queue, [env._now, NORMAL, env._next_eid(), self])
-        env._live += 1
+        self.env.call_later(0.0, _process, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -83,7 +84,7 @@ class Event:
             raise TypeError(f"{exception!r} is not an exception")
         self._ok = False
         self._value = exception
-        self.env.schedule(self)
+        self.env.call_later(0.0, _process, self)
         return self
 
     def __repr__(self) -> str:
@@ -97,27 +98,21 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
         self.env = env
         self.callbacks = []
         self._value = value
         self._ok = True
         self.defused = False
-        delay = float(delay)
-        # Inlined ``env.schedule(self, delay)`` (same entry, same sequence
-        # counter): one Timeout per simulated delay makes this a hot path.
-        heappush(env._queue, [env._now + delay, NORMAL, env._next_eid(), self])
-        env._live += 1
+        env.call_later(float(delay), _process, self)
 
 
-def urgent(env: "Environment", callback: Callable[[Event], None]) -> None:
-    """Run *callback* from a zero-delay ``URGENT`` calendar entry: after
-    the callbacks running now, before any ``NORMAL`` entry at this time.
-    This is the entry that starts a process, without the process."""
-    event = Event(env)
-    event._ok = True
-    event._value = None
-    event.callbacks.append(callback)
-    heappush(env._queue, [env._now, URGENT, env._next_eid(), event])
-    env._live += 1
+def _process(event: Event) -> None:
+    """Calendar function of a triggered event: run its callbacks, then let
+    a failure nobody handled propagate out of the event loop."""
+    # Snapshot the callback list: a callback may legitimately register new
+    # callbacks on other events while running.
+    callbacks, event.callbacks = event.callbacks, None
+    for callback in callbacks:
+        callback(event)
+    if not event._ok and not event.defused:
+        raise event._value

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.sim.events import Event, urgent
+from repro.sim.core import URGENT
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core import Environment
@@ -34,16 +35,19 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         # Kick off the coroutine at the current time, before normal events.
-        urgent(env, self._resume)
+        env.call_later(0.0, self._resume, None, URGENT)
 
     # ------------------------------------------------------------------
-    def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of *event*."""
+    def _resume(self, event: Optional[Event]) -> None:
+        """Advance the generator with the outcome of *event* (``None``
+        starts it)."""
         env = self.env
         send = self._send
         while True:
             try:
-                if event._ok:
+                if event is None:
+                    next_target = send(None)
+                elif event._ok:
                     next_target = send(event._value)
                 else:
                     event.defused = True
@@ -62,8 +66,8 @@ class Process(Event):
                 return
 
             # Fast path: a pending event of this environment (the single
-            # ``yield env.timeout(...)`` / ``yield task.event`` shape) —
-            # one isinstance, one env check, one append.
+            # ``yield env.timeout(...)`` shape) — one isinstance, one env
+            # check, one append.
             if isinstance(next_target, Event) and next_target.env is env:
                 callbacks = next_target.callbacks
                 if callbacks is not None:

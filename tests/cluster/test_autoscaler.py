@@ -19,15 +19,19 @@ from repro.workload.scenarios import uniform_burst
 def run_with_autoscaler(policy="baseline", autoscaler_config=None, intensity=60):
     env = Environment()
     node_config = NodeConfig(cores=4)
-    if policy == "baseline":
-        first = BaselineInvoker(env, node_config, name="node-0")
-    else:
-        first = Invoker(env, node_config, policy=policy, name="node-0")
+
+    def node(name):
+        if policy == "baseline":
+            return BaselineInvoker(env, node_config, name=name)
+        return Invoker(env, node_config, policy=policy, name=name)
+
+    first = node("node-0")
     first.warm_up(sebs_catalog())
     invokers = [first]
     autoscaler = ReactiveAutoscaler(
-        env, invokers, node_config,
+        env, invokers,
         config=autoscaler_config or AutoscalerConfig(max_nodes=3),
+        factory=lambda index: node(f"scaled-{index}"),
     )
     scenario = uniform_burst(4, intensity, np.random.default_rng(1))
     platform = FaaSPlatform(env, invokers)
@@ -80,31 +84,9 @@ class TestReactiveAutoscaler:
     def test_our_policy_fleet_scales_too(self):
         autoscaler, records = run_with_autoscaler(policy="FC", intensity=90)
         assert len(records) == 396
-        # The factory clones the policy type onto new nodes.
+        # The factory builds the same policy on new nodes.
         if autoscaler.fleet_size > 1:
             assert type(autoscaler.invokers[-1].policy).name == "FC"
-
-    def test_default_factory_preserves_policy_params_and_estimator(self):
-        # The default factory must clone a parameterized reference policy
-        # faithfully — constructor params recovered from same-named
-        # attributes, estimator window/horizon carried over.
-        from repro.scheduling.estimator import RuntimeEstimator
-        from repro.scheduling.extra import EtasLike
-
-        env = Environment()
-        node_config = NodeConfig(cores=4)
-        reference = Invoker(
-            env,
-            node_config,
-            policy=EtasLike(RuntimeEstimator(window=7, frequency_horizon=45.0), alpha=0.7),
-            name="node-0",
-        )
-        autoscaler = ReactiveAutoscaler(env, [reference], node_config)
-        scaled = autoscaler._factory(1)
-        assert type(scaled.policy) is EtasLike
-        assert scaled.policy.alpha == 0.7
-        assert scaled.policy.estimator.window == 7
-        assert scaled.policy.estimator.frequency_horizon == 45.0
 
     def test_scheduling_handles_peak_autoscaler_too_late(self):
         # The paper's argument: during a 60 s burst, a 30 s provisioning

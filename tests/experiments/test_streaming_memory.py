@@ -9,8 +9,9 @@ NOT double the peak: streaming memory is bounded by workload
 
 These runs take minutes each, so the whole module is gated behind the
 ``slow`` marker and the ``REPRO_RUN_SLOW`` environment variable; CI runs
-it weekly and on the pull requests that touch the injection path or the
-node layer that holds each in-flight call, not on every pull request
+it weekly and on the pull requests that touch the injection path, the
+node layer that holds each in-flight call, or the kernel's calendar,
+events and CPU banks that hold its entries, not on every pull request
 (see .github/workflows/slow.yml).
 """
 

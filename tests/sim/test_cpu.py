@@ -14,15 +14,15 @@ def run_tasks(cores, specs, efficiency=None):
     cpu = SharedCPU(env, cores, efficiency=efficiency)
     done = {}
 
-    def submit(env, idx, start, work, weight, max_rate):
-        if start:
-            yield env.timeout(start)
-        task = cpu.execute(work, weight=weight, max_rate=max_rate, label=str(idx))
-        yield task.event
-        done[idx] = env.now
+    def submit(idx):
+        _, work, weight, max_rate = specs[idx]
+        cpu.execute(work, weight=weight, max_rate=max_rate, label=str(idx), then=finished)
 
-    for idx, (start, work, weight, max_rate) in enumerate(specs):
-        env.process(submit(env, idx, start, work, weight, max_rate))
+    def finished(task):
+        done[int(task.label)] = env.now
+
+    for idx, (start, *_) in enumerate(specs):
+        env.call_later(start, submit, idx)
     env.run()
     return env, cpu, done
 
@@ -146,17 +146,16 @@ class TestAccounting:
         # its own lifetime, not since t=0 (which understated idle time —
         # here it would report 4/(2*8)=0.25 instead of 4/(2*4)=0.5).
         env = Environment()
+        banks = []
 
-        def late_bank(env):
-            yield env.timeout(4.0)
+        def late_bank(_arg):
             cpu = SharedCPU(env, 2)
-            task = cpu.execute(4.0)  # one core busy for 4s on a 2-core bank
-            yield task.event
-            return cpu
+            # One core busy for 4s on a 2-core bank.
+            cpu.execute(4.0, then=lambda task: banks.append(cpu))
 
-        proc = env.process(late_bank(env))
+        env.call_later(4.0, late_bank)
         env.run()
-        cpu = proc.value
+        [cpu] = banks
         assert cpu.created_at == pytest.approx(4.0)
         assert env.now == pytest.approx(8.0)
         assert cpu.utilization() == pytest.approx(0.5)

@@ -55,16 +55,26 @@ def drive(bank, streams):
     env = bank.env
     completions = []
 
-    def worker(env, w, plan):
-        for k, (gap, work) in enumerate(plan):
-            if gap:
-                yield env.timeout(gap)
-            task = bank.execute(work, label=f"{w}.{k}")
-            yield task.event
+    def worker(w, plan):
+        def wait(k):
+            if k < len(plan):
+                gap = plan[k][0]
+                if gap:
+                    env.call_later(gap, run, k)
+                else:
+                    run(k)
+
+        def run(k):
+            bank.execute(plan[k][1], label=f"{w}.{k}", then=lambda task: finished(k, task))
+
+        def finished(k, task):
             completions.append((env.now, task.label))
+            wait(k + 1)
+
+        wait(0)
 
     for w, plan in enumerate(streams):
-        env.process(worker(env, w, plan))
+        worker(w, plan)
     env.run()
     return {
         "completions": completions,

@@ -52,15 +52,8 @@ class TestCpuWorkConservation:
     def test_delivered_work_equals_submitted(self, specs):
         env = Environment()
         cpu = SharedCPU(env, cores=2)
-
-        def submit(env, start, work):
-            if start:
-                yield env.timeout(start)
-            task = cpu.execute(work)
-            yield task.event
-
         for start, work in specs:
-            env.process(submit(env, start, work))
+            env.call_later(start, cpu.execute, work)
         env.run()
         total = sum(work for _, work in specs)
         assert cpu.delivered_work == pytest.approx(total, rel=1e-6, abs=1e-6)
@@ -76,13 +69,11 @@ class TestCpuWorkConservation:
         cpu = SharedCPU(env, cores=cores)
         finish = {}
 
-        def submit(env, idx, work):
-            task = cpu.execute(work)
-            yield task.event
-            finish[idx] = env.now
+        def finished(task):
+            finish[int(task.label)] = env.now
 
         for idx, work in enumerate(works):
-            env.process(submit(env, idx, work))
+            cpu.execute(work, label=str(idx), then=finished)
         env.run()
         for idx, work in enumerate(works):
             assert finish[idx] >= work - 1e-9

@@ -44,12 +44,13 @@ def _churn_bank(cpu, rng, n_tasks, weight_pool, cap_pool):
     env = cpu.env
     checked = {"events": 0}
 
-    def submit(env, start, work, weight, cap):
-        yield env.timeout(start)
-        task = cpu.execute(work, weight=weight, max_rate=cap)
+    def submit(task_args):
+        work, weight, cap = task_args
+        cpu.execute(work, weight=weight, max_rate=cap, then=finished)
         _assert_matches_oracle(cpu)
         checked["events"] += 1
-        yield task.event
+
+    def finished(_task):
         _assert_matches_oracle(cpu)
         checked["events"] += 1
 
@@ -58,7 +59,7 @@ def _churn_bank(cpu, rng, n_tasks, weight_pool, cap_pool):
     for i in range(n_tasks):
         weight = float(rng.choice(weight_pool))
         cap = float(rng.choice(cap_pool))
-        env.process(submit(env, float(starts[i]), float(works[i]), weight, cap))
+        env.call_later(float(starts[i]), submit, (float(works[i]), weight, cap))
     env.run()
     assert checked["events"] >= n_tasks
 
