@@ -69,9 +69,9 @@ from repro.experiments.cache_tools import (
     merge_caches,
 )
 from repro.experiments.config import BASELINE, ExperimentConfig
-from repro.experiments.executor import executor_names
 from repro.experiments.grid import GridResults, GridSpec, run_grid
 from repro.experiments.parallel import (
+    EXECUTORS,
     EngineStats,
     ResultCache,
     WorkerError,
@@ -130,23 +130,22 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="S",
         help=(
-            "wall-clock budget per grid cell in seconds (--jobs > 1, "
-            "local executor only — rejected with --executor queue); "
-            "cells over budget are cancelled and reported while the rest "
-            "of the sweep completes; default: $REPRO_CELL_TIMEOUT or none"
+            "wall-clock budget per grid cell in seconds; cells over "
+            "budget are cancelled and reported while the rest of the "
+            "sweep completes; default: $REPRO_CELL_TIMEOUT or none"
         ),
     )
     parser.add_argument(
         "--executor",
-        default=None,
-        choices=executor_names(),
+        default="local",
+        choices=EXECUTORS,
         metavar="NAME",
         help=(
-            "execution backend: 'local' runs cells in this process "
-            "(--jobs > 1: a process pool); 'queue' distributes them over "
-            "the shared --cache-dir so any number of 'faas-sched worker' "
-            "processes — on any host sharing the directory — can help "
-            "(see docs/DISTRIBUTED.md); default: $REPRO_EXECUTOR or local"
+            "what a worker does with a cell: 'local' runs and stores it; "
+            "'queue' claims it through the shared --cache-dir, so any "
+            "number of 'faas-sched worker' processes — on any host "
+            "sharing the directory — can help (see docs/DISTRIBUTED.md); "
+            "default: local"
         ),
     )
 
@@ -1026,7 +1025,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command in ("run", "grid", "compare"):
         if args.executor == "queue" and args.cache_dir is None:
-            # QueueExecutor would reject this too, but after the sweep's
+            # run_configs would reject this too, but after the sweep's
             # configs are built; fail at argument time instead.
             print(
                 "error: --executor queue needs --cache-dir (the shared "
@@ -1071,15 +1070,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 stats=engine_stats,
             )
         except (ValueError, OSError, WorkerError) as exc:
-            # With --jobs > 1 the same failures surface as WorkerError;
-            # its message carries the failing cell and original exception
-            # (rerun with --jobs 1 for the full traceback).
+            # Through worker processes (--jobs > 1 or a cell timeout) the
+            # same failures surface as WorkerError; its message carries
+            # the failing cell and original exception (rerun with --jobs 1
+            # and no timeout for the full traceback).
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(report)
         if engine_stats.total:
-            # Fixed-protocol artifacts (table1, fig2, ...) bypass the
-            # engine; only engine-run sweeps have counters to report.
+            # Table I's sequential client bypasses the engine; every
+            # other artifact's sweeps have counters to report.
             print(f"\n{engine_stats.summary_line()}")
         return 0
 
@@ -1113,7 +1113,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # e.g. an empty stochastic scenario, an unreadable replay
             # CSV, or a non-numeric policy parameter (the registry's
             # validators raise ValueError) — wrapped in WorkerError when
-            # --jobs > 1.
+            # the cells run in worker processes.
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if args.compare is not None:

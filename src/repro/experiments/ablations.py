@@ -7,15 +7,18 @@ These go beyond the paper's artifacts; each isolates one mechanism:
 * busy-limit over-provisioning (re-introducing CPU oversubscription,
   i.e. undoing Sect. IV-A);
 * cold-start cost sensitivity.
+
+Each study is one sweep of :func:`~repro.experiments.parallel.run_configs`;
+its ``engine`` keywords (``jobs``, ``cache_dir``, ...) pass straight through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
+from repro.experiments.parallel import run_configs
 from repro.metrics.report import format_table
 
 __all__ = [
@@ -43,13 +46,16 @@ class AblationResult:
         )
 
 
-def _measure(cfg: ExperimentConfig) -> Tuple[float, float, float]:
-    stats = run_experiment(cfg).summary()
-    return (
-        stats.mean_response_time,
-        stats.mean_stretch,
-        stats.response_time_percentiles[95],
-    )
+def _rows(
+    values: Sequence[object], configs: List[ExperimentConfig], engine: Dict[str, Any]
+) -> List[Tuple[object, float, float, float]]:
+    """``(value, R.avg, S.avg, R.p95)`` per config, run as one sweep."""
+    rows = []
+    for value, result in zip(values, run_configs(configs, **engine)):
+        stats = result.summary()
+        p95 = stats.response_time_percentiles[95]
+        rows.append((value, stats.mean_response_time, stats.mean_stretch, p95))
+    return rows
 
 
 def ablate_estimator_window(
@@ -58,18 +64,20 @@ def ablate_estimator_window(
     intensity: int = 60,
     policy: str = "SEPT",
     seed: int = 1,
+    **engine: Any,
 ) -> AblationResult:
     """How much history does SEPT need?  The paper (after [18]) uses 10."""
-    rows = []
-    for window in windows:
-        cfg = ExperimentConfig(
+    configs = [
+        ExperimentConfig(
             cores=cores,
             intensity=intensity,
             policy=policy,
             seed=seed,
             node_overrides=(("estimator_window", window),),
         )
-        rows.append((window, *_measure(cfg)))
+        for window in windows
+    ]
+    rows = _rows(windows, configs, engine)
     return AblationResult("estimator window (SEPT)", "window", rows)
 
 
@@ -78,11 +86,11 @@ def ablate_fc_horizon(
     cores: int = 10,
     intensity: int = 90,
     seed: int = 1,
+    **engine: Any,
 ) -> AblationResult:
     """Fair-Choice's T: short horizons forget consumption too quickly."""
-    rows = []
-    for horizon in horizons:
-        cfg = ExperimentConfig(
+    configs = [
+        ExperimentConfig(
             cores=cores,
             intensity=intensity,
             policy="FC",
@@ -90,7 +98,9 @@ def ablate_fc_horizon(
             scenario="skewed",
             node_overrides=(("fc_horizon_s", horizon),),
         )
-        rows.append((horizon, *_measure(cfg)))
+        for horizon in horizons
+    ]
+    rows = _rows(horizons, configs, engine)
     return AblationResult("Fair-Choice horizon T (skewed mix)", "T [s]", rows)
 
 
@@ -100,19 +110,21 @@ def ablate_busy_limit(
     intensity: int = 60,
     policy: str = "SEPT",
     seed: int = 1,
+    **engine: Any,
 ) -> AblationResult:
     """Undo Sect. IV-A: allow ``factor * cores`` busy containers, which
     re-introduces OS-level preemption on the CPU bank."""
-    rows = []
-    for factor in factors:
-        cfg = ExperimentConfig(
+    configs = [
+        ExperimentConfig(
             cores=cores,
             intensity=intensity,
             policy=policy,
             seed=seed,
             node_overrides=(("busy_limit", int(round(cores * factor))),),
         )
-        rows.append((factor, *_measure(cfg)))
+        for factor in factors
+    ]
+    rows = _rows(factors, configs, engine)
     return AblationResult("busy-limit factor (oversubscription)", "x cores", rows)
 
 
@@ -122,16 +134,18 @@ def ablate_cold_start_cost(
     intensity: int = 60,
     policy: str = "baseline",
     seed: int = 1,
+    **engine: Any,
 ) -> AblationResult:
     """Baseline sensitivity to the serialized container-creation cost."""
-    rows = []
-    for create_op in create_ops:
-        cfg = ExperimentConfig(
+    configs = [
+        ExperimentConfig(
             cores=cores,
             intensity=intensity,
             policy=policy,
             seed=seed,
             node_overrides=(("create_op_s", create_op),),
         )
-        rows.append((create_op, *_measure(cfg)))
+        for create_op in create_ops
+    ]
+    rows = _rows(create_ops, configs, engine)
     return AblationResult("baseline create-op cost", "create_op [s]", rows)

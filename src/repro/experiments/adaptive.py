@@ -68,7 +68,7 @@ class _RunStore:
         *,
         jobs: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
-        executor: Optional[str] = None,
+        executor: str = "local",
     ) -> None:
         self.base = base
         self.seed_sequence = seed_sequence
@@ -230,7 +230,7 @@ def allocate_seeds(
     ci_method: str = "bca",
     jobs: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
-    executor: Optional[str] = None,
+    executor: str = "local",
 ) -> AdaptiveAllocation:
     """Run repetitions of two configs in batches until they separate.
 
@@ -337,7 +337,7 @@ def run_adaptive_grid(
     ci_method: str = "bca",
     jobs: int = 1,
     cache_dir: Optional[Union[str, Path]] = None,
-    executor: Optional[str] = None,
+    executor: str = "local",
 ) -> AdaptiveGridResult:
     """Adaptively seed every strategy pair of a grid.
 

@@ -15,10 +15,10 @@ original OpenWhisk node management (Fig. 2a) with our FIFO variant
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.experiments.config import BASELINE, ExperimentConfig
-from repro.experiments.runner import run_experiment
+from repro.experiments.parallel import run_configs
 from repro.metrics.report import format_table
 
 __all__ = ["run_fig2", "Fig2Result", "MEMORY_SWEEP_MB", "INTENSITY_SWEEP"]
@@ -70,21 +70,30 @@ def run_fig2(
     cores: int = 10,
     seed: int = 1,
     strategies: Sequence[str] = (BASELINE, "FIFO"),
+    **engine: Any,
 ) -> Fig2Result:
-    """Sweep memory × intensity for the baseline and our FIFO variant."""
+    """Sweep memory × intensity for the baseline and our FIFO variant, as
+    one sweep of :func:`~repro.experiments.parallel.run_configs` (``engine``
+    takes its keywords: ``jobs``, ``cache_dir``, ...)."""
+    keys = [
+        (strategy, memory_mb, intensity)
+        for strategy in strategies
+        for memory_mb in memories_mb
+        for intensity in intensities
+    ]
+    configs = [
+        ExperimentConfig(
+            cores=cores,
+            intensity=intensity,
+            policy=strategy,
+            seed=seed,
+            memory_mb=memory_mb,
+        )
+        for strategy, memory_mb, intensity in keys
+    ]
     cold_starts: Dict[Tuple[str, int, int], int] = {}
     totals: Dict[int, int] = {}
-    for strategy in strategies:
-        for memory_mb in memories_mb:
-            for intensity in intensities:
-                cfg = ExperimentConfig(
-                    cores=cores,
-                    intensity=intensity,
-                    policy=strategy,
-                    seed=seed,
-                    memory_mb=memory_mb,
-                )
-                result = run_experiment(cfg)
-                cold_starts[(strategy, memory_mb, intensity)] = result.cold_starts
-                totals[intensity] = len(result.records)
+    for key, result in zip(keys, run_configs(configs, **engine)):
+        cold_starts[key] = result.cold_starts
+        totals[key[2]] = len(result.records)
     return Fig2Result(cold_starts=cold_starts, totals=totals, cores=cores)

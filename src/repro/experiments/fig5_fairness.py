@@ -11,12 +11,11 @@ long function's stretch versus SEPT (paper: average 5.3 → 2.1, median
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
+from typing import Any, Dict, List, Sequence
 
 from repro.experiments.config import BASELINE, ExperimentConfig
 from repro.experiments.paper_data import FIG5_FAIRNESS
-from repro.experiments.runner import run_experiment
+from repro.experiments.parallel import run_configs
 from repro.metrics.report import format_table
 from repro.metrics.stats import BoxStats, box_stats
 
@@ -64,25 +63,33 @@ def run_fig5(
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
     cores: int = 10,
     intensity: int = 90,
+    **engine: Any,
 ) -> Fig5Result:
     """Run the skewed-mix experiment for each strategy and aggregate
-    stretch over all seeds."""
+    stretch over all seeds, as one sweep of
+    :func:`~repro.experiments.parallel.run_configs` (``engine`` takes its
+    keywords: ``jobs``, ``cache_dir``, ...)."""
+    configs = [
+        ExperimentConfig(
+            cores=cores,
+            intensity=intensity,
+            policy=strategy,
+            seed=seed,
+            scenario="skewed",
+        )
+        for strategy in strategies
+        for seed in seeds
+    ]
+    flat = run_configs(configs, **engine)
     all_calls: Dict[str, BoxStats] = {}
     rare_calls: Dict[str, BoxStats] = {}
     short_calls: Dict[str, BoxStats] = {}
-    for strategy in strategies:
+    per_strategy = len(seeds)
+    for i, strategy in enumerate(strategies):
         stretches: List[float] = []
         rare: List[float] = []
         short: List[float] = []
-        for seed in seeds:
-            cfg = ExperimentConfig(
-                cores=cores,
-                intensity=intensity,
-                policy=strategy,
-                seed=seed,
-                scenario="skewed",
-            )
-            result = run_experiment(cfg)
+        for result in flat[i * per_strategy : (i + 1) * per_strategy]:
             for record in result.records:
                 stretches.append(record.stretch)
                 if record.function_name == RARE_FUNCTION:

@@ -120,7 +120,7 @@ def run_fig6(
     cache_dir: Optional[Union[str, Path]] = None,
     progress: Optional[ProgressCallback] = None,
     cell_timeout: Optional[float] = None,
-    executor: Optional[str] = None,
+    executor: str = "local",
     stats: Optional[EngineStats] = None,
 ) -> Fig6Result:
     """Run the multi-node sweep, pooling records over seeds.
@@ -128,8 +128,8 @@ def run_fig6(
     ``jobs``/``cache_dir``/``progress`` route the sweep through the
     parallel engine and its on-disk cache (bit-identical to the serial
     path, like every engine-run experiment); ``executor``/``stats``
-    select the execution backend and accumulate engine counters (see
-    :mod:`repro.experiments.executor`).
+    select the executor and accumulate engine counters (see
+    :func:`~repro.experiments.parallel.run_configs`).
     """
     total_requests = REQUESTS_FOR_CORES.get(cores_per_node, 11 * 4 * cores_per_node * 3)
     cells = [(nodes, strategy) for nodes in node_counts for strategy in strategies]

@@ -478,7 +478,7 @@ def run_grid(
     cache_dir: Optional[Union[str, Path]] = None,
     progress: Optional[ProgressCallback] = None,
     cell_timeout: Optional[float] = None,
-    executor: Optional[str] = None,
+    executor: str = "local",
     stats: Optional[EngineStats] = None,
 ) -> GridResults:
     """Run (cores × intensity × strategy × topology × seeds) experiments
@@ -489,9 +489,9 @@ def run_grid(
     result cache, with results bit-identical to the serial, uncached path
     (``jobs=1``, the default).  ``progress`` receives one callback per
     finished cell (see :func:`~repro.experiments.parallel.progress_printer`).
-    ``executor`` selects the execution backend (``local``'s process pool,
-    or ``queue`` to distribute cells over the shared cache root — see
-    :mod:`repro.experiments.executor`); ``stats`` supplies a shared
+    ``executor`` says what a worker does with a cell (``local`` runs it,
+    ``queue`` claims it through the shared cache root — see
+    :mod:`repro.experiments.queue`); ``stats`` supplies a shared
     :class:`EngineStats` to accumulate into (one is created otherwise).
     """
     spec = spec if spec is not None else GridSpec()

@@ -13,7 +13,10 @@ independence twice:
   path.  The engine is crash-hardened: a killed worker's cell is retried
   once with backoff before surfacing as a :class:`WorkerError`, and a
   per-cell wall-clock timeout (``REPRO_CELL_TIMEOUT`` / ``cell_timeout=``)
-  cancels hung cells while the rest of the sweep completes.
+  cancels hung cells while the rest of the sweep completes.  The same
+  supervisor serves both executors: a ``local`` worker runs and stores
+  its cell, a ``queue`` worker claims it through the shared cache root
+  (:mod:`repro.experiments.queue`).
 
 * **Caching** — :class:`ResultCache` persists each
   :class:`~repro.experiments.runner.ExperimentResult` under a
@@ -33,6 +36,7 @@ results are bit-identical to serial ones (enforced by
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -55,6 +59,7 @@ from repro.metrics.streaming import SummaryAccumulator
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
+    "EXECUTORS",
     "CacheVerification",
     "EngineOptions",
     "EngineStats",
@@ -72,6 +77,13 @@ __all__ = [
 
 Runner = Callable[[ExperimentConfig], ExperimentResult]
 ProgressCallback = Callable[[int, int, str, bool], None]
+#: What a worker does with one pending cell: compute or load it, store it,
+#: and return it; ``None`` when a live worker elsewhere holds it (queue).
+Cell = Callable[[ExperimentConfig], Optional[ExperimentResult]]
+
+#: The executors: what a worker does with a cell (``local``: run and
+#: store it; ``queue``: claim it through the shared cache root).
+EXECUTORS = ("local", "queue")
 
 #: Bump when the cached payload layout changes; old entries then miss.
 #: v2: configs carry ``scenario_params`` (scenario registry).
@@ -345,7 +357,7 @@ class EngineStats:
     retries: int = 0
     #: Cells cancelled for exceeding the per-cell wall-clock timeout.
     timeouts: int = 0
-    #: Which execution backend ran the sweep (see experiments.executor).
+    #: Which of :data:`EXECUTORS` ran the sweep.
     executor: str = "local"
     #: Wall-clock seconds spent inside :func:`run_configs`.
     elapsed: float = 0.0
@@ -368,12 +380,11 @@ class EngineOptions:
     jobs: int = 1
     cache_dir: Optional[str] = None
     progress: Optional[ProgressCallback] = None
-    #: Per-cell wall-clock budget in seconds (``jobs > 1`` only); ``None``
-    #: defers to the ``REPRO_CELL_TIMEOUT`` environment variable.
+    #: Per-cell wall-clock budget in seconds; ``None`` defers to the
+    #: ``REPRO_CELL_TIMEOUT`` environment variable.
     cell_timeout: Optional[float] = None
-    #: Execution backend name (``local``/``queue``); ``None`` defers to
-    #: the ``REPRO_EXECUTOR`` environment variable, then ``local``.
-    executor: Optional[str] = None
+    #: One of :data:`EXECUTORS`.
+    executor: str = "local"
     #: An :class:`EngineStats` filled in place across the artifact's
     #: sweeps, so callers (the CLI) can print the engine summary line.
     stats: Optional[EngineStats] = field(default=None, compare=False)
@@ -444,19 +455,30 @@ _CRASH_BACKOFF_S = 0.25
 #: Longest the parent blocks on worker results before it looks at
 #: deadlines and backoffs again.
 _POLL_S = 0.05
+#: A cell that a live worker elsewhere holds is offered again after this
+#: long; also ``faas-sched worker``'s default queue scan interval.
+QUEUE_POLL_S = 0.2
 
 
-def _worker_main(tasks, results, runner: Runner, cache: Optional[ResultCache]) -> None:
-    """Worker process loop: run each ``(index, config)`` read from ``tasks``,
-    store it when the sweep has a cache, and report on ``results`` (failures
-    as data, for a :class:`WorkerError`).  Exits on ``None`` or a closed pipe."""
+def _compute(
+    runner: Runner, cache: Optional[ResultCache], config: ExperimentConfig
+) -> ExperimentResult:
+    """The ``local`` executor's cell: run it, and store it when the sweep
+    has a cache."""
+    result = runner(config)
+    if cache is not None:
+        cache.store(config, result)
+    return result
+
+
+def _worker_main(tasks, results, cell: Cell) -> None:
+    """Worker process loop: handle each ``(index, config)`` read from
+    ``tasks`` with ``cell`` and report on ``results`` (failures as data,
+    for a :class:`WorkerError`).  Exits on ``None`` or a closed pipe."""
     try:
         for index, config in iter(tasks.recv, None):
             try:
-                result = runner(config)
-                if cache is not None:
-                    cache.store(config, result)
-                results.send((_OK, index, result, None, None))
+                results.send((_OK, index, cell(config), None, None))
             except Exception as exc:  # noqa: BLE001 - re-raised in the parent
                 message = f"{type(exc).__name__}: {exc}"
                 results.send((_ERR, index, config.label(), message, traceback.format_exc()))
@@ -469,7 +491,7 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     # but is only safe on Linux — macOS deliberately defaults to spawn
     # (fork is unreliable with threads/the ObjC runtime there) and Windows
     # has no fork.  Elsewhere use the platform default, which works because
-    # _worker_main, the runner, the cache and the pipes are picklable.
+    # _worker_main, the cell function and the pipes are picklable.
     if sys.platform == "linux":
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()  # pragma: no cover - non-Linux
@@ -520,14 +542,21 @@ class _ProcessEngine:
       exact); a repeat death raises :class:`WorkerError` with the exit code;
     * a worker that **hangs** past ``cell_timeout`` is terminated and
       recorded; the rest of the sweep completes before the timeouts are
-      raised as one aggregate :class:`WorkerError`.
+      raised as one aggregate :class:`WorkerError`;
+    * a worker that answers ``None`` (a queue cell whose lease a live
+      worker elsewhere holds) gets its next cell, and that one is offered
+      again after :data:`QUEUE_POLL_S`.
     """
 
-    def __init__(self, sweep) -> None:
-        #: The sweep's ``ExecutionContext``: jobs, runner, cache, cell_timeout, stats.
-        self.sweep = sweep
+    def __init__(
+        self, jobs: int, cell: Cell, cell_timeout: Optional[float], stats: EngineStats
+    ) -> None:
+        self.jobs = jobs
+        self.cell = cell
+        self.cell_timeout = cell_timeout
+        self.stats = stats
         self.waiting: deque = deque()
-        #: Cells whose worker died, awaiting their backoff:
+        #: Cells waiting out a crash backoff or a re-offer delay:
         #: (not_before, index, config, attempt).
         self.delayed: List[Tuple[float, int, ExperimentConfig, int]] = []
         self.pool: List[_Worker] = []
@@ -550,7 +579,7 @@ class _ProcessEngine:
             raise WorkerError(
                 self.timed_out[0][0],
                 f"{len(self.timed_out)} cell(s) exceeded the "
-                f"{self.sweep.cell_timeout}s cell timeout: {detail}",
+                f"{self.cell_timeout}s cell timeout: {detail}",
                 "(cell cancelled on deadline; no worker traceback)",
             )
 
@@ -566,7 +595,7 @@ class _ProcessEngine:
         """Hand waiting cells to idle workers, spawning up to the budget."""
         while self.waiting:
             idle = [worker for worker in self.pool if worker.cell is None]
-            if not idle and len(self.pool) >= self.sweep.jobs:
+            if not idle and len(self.pool) >= self.jobs:
                 return
             worker = idle[0] if idle else self._spawn()
             worker.cell, worker.started = self.waiting.popleft(), time.monotonic()
@@ -583,7 +612,7 @@ class _ProcessEngine:
         # so a worker whose parent dies reads end-of-file on ``tasks``.
         for end in (tasks, results):
             multiprocessing.util.register_after_fork(end, type(end).close)
-        args = (task_reader, result_writer, self.sweep.runner, self.sweep.cache)
+        args = (task_reader, result_writer, self.cell)
         process = context.Process(target=_worker_main, args=args, daemon=True)
         process.start()
         # Only the worker holds its ends now, so its death reads as
@@ -599,7 +628,7 @@ class _ProcessEngine:
         backoff ends, then handle each busy worker that is ready."""
         busy = [worker for worker in self.pool if worker.cell is not None]
         now = time.monotonic()
-        budget = self.sweep.cell_timeout
+        budget = self.cell_timeout
         wakeups = [entry[0] for entry in self.delayed]
         if budget is not None:
             wakeups += [worker.started + budget for worker in busy]
@@ -615,7 +644,7 @@ class _ProcessEngine:
             if worker.results in ready or worker.process.sentinel in ready:
                 self._receive(worker, finished)
             elif budget is not None and now - worker.started >= budget:
-                self.sweep.stats.timeouts += 1
+                self.stats.timeouts += 1
                 self.timed_out.append((worker.cell[1].label(), now - worker.started))
                 self._retire(worker)
 
@@ -628,11 +657,15 @@ class _ProcessEngine:
         if outcome is None:
             self._crashed(worker)
             return
-        config, worker.cell = worker.cell[1], None
-        status, index, payload, message, remote_tb = outcome
+        (index, config, attempt), worker.cell = worker.cell, None
+        status, _, payload, message, remote_tb = outcome
         if status == _ERR:
             raise WorkerError(payload, message, remote_tb)
-        finished(index, config, payload, cached=False)
+        if payload is None:
+            not_before = time.monotonic() + QUEUE_POLL_S
+            self.delayed.append((not_before, index, config, attempt))
+        else:
+            finished(index, config, payload, cached=False)
 
     def _crashed(self, worker: _Worker) -> None:
         """The worker died holding a cell: requeue it after a backoff, or
@@ -641,7 +674,7 @@ class _ProcessEngine:
         self._retire(worker)
         exitcode = worker.process.exitcode
         if attempt < _CRASH_MAX_ATTEMPTS:
-            self.sweep.stats.retries += 1
+            self.stats.retries += 1
             backoff = _CRASH_BACKOFF_S * 2 ** (attempt - 1)
             self.delayed.append((time.monotonic() + backoff, index, config, attempt + 1))
             return
@@ -681,6 +714,22 @@ def _terminate(process) -> None:
         process.join(timeout=5.0)
 
 
+def _run_inline(pending: List[Tuple[int, ExperimentConfig]], cell: Cell, finished) -> None:
+    """Handle every pending cell in this process, in order, so a failure
+    raises its original exception.  A cell that a live worker elsewhere
+    holds (``None``) goes to the back, to be offered again once
+    :data:`QUEUE_POLL_S` has passed."""
+    waiting = deque((0.0, index, config) for index, config in pending)
+    while waiting:
+        not_before, index, config = waiting.popleft()
+        time.sleep(max(0.0, not_before - time.monotonic()))
+        result = cell(config)
+        if result is None:
+            waiting.append((time.monotonic() + QUEUE_POLL_S, index, config))
+        else:
+            finished(index, config, result, cached=False)
+
+
 def run_configs(
     configs: Iterable[ExperimentConfig],
     *,
@@ -690,7 +739,7 @@ def run_configs(
     progress: Optional[ProgressCallback] = None,
     stats: Optional[EngineStats] = None,
     cell_timeout: Optional[float] = None,
-    executor: Optional[str] = None,
+    executor: str = "local",
 ) -> List[ExperimentResult]:
     """Run experiments, optionally in parallel and through a result cache.
 
@@ -700,57 +749,54 @@ def run_configs(
         Experiment configurations; the returned list matches their order.
     jobs:
         Worker processes.  ``1`` (the default) runs inline in this process
-        — the exact code path the repo has always had; failures then raise
-        the original exception.  ``N > 1`` shards cache misses across at
-        most ``N`` long-lived worker processes, which store the cells they
-        compute; a failure in any worker raises :class:`WorkerError` and
-        cancels the remaining work, the cell of a *killed* worker is
-        retried once before doing so (see :class:`_ProcessEngine`).
+        unless a cell budget is set — the exact code path the repo has
+        always had; failures then raise the original exception.  Otherwise
+        one supervisor shards cache misses across at most ``jobs``
+        long-lived worker processes, which store the cells they compute; a
+        failure in any worker raises :class:`WorkerError` and cancels the
+        remaining work, the cell of a *killed* worker is retried once
+        before doing so (see :class:`_ProcessEngine`).
     cache_dir:
         Root of an on-disk :class:`ResultCache`.  Hits skip computation
         entirely; misses are computed and stored.  ``None`` disables
         caching.
     runner:
         Override the runner of every config (must be a picklable
-        top-level callable when ``jobs > 1``).  Defaults to
-        :func:`~repro.experiments.runner.run_experiment`.
+        top-level callable when cells run in worker processes).  Defaults
+        to :func:`~repro.experiments.runner.run_experiment`.
     progress:
         ``callback(done, total, label, cached)`` invoked once per finished
         config (see :func:`progress_printer`).
     stats:
         An :class:`EngineStats` to fill in place (total/computed/cached).
     cell_timeout:
-        Wall-clock budget per cell in seconds (``jobs > 1`` only — the
-        inline path cannot cancel itself).  ``None`` defers to the
+        Wall-clock budget per cell in seconds.  ``None`` defers to the
         ``REPRO_CELL_TIMEOUT`` environment variable; unset or non-positive
-        disables.  A cell over budget is terminated and recorded; the rest
-        of the sweep completes before a :class:`WorkerError` aggregating
-        the cancelled cells is raised.  Local executor only: the queue
-        executor cannot enforce a per-cell deadline (its lease heartbeat
-        keeps a claimed cell alive indefinitely) and raises
-        :class:`ValueError` rather than silently ignoring one.
+        disables.  A budget runs the sweep through worker processes even
+        at ``jobs=1``, since the inline path cannot cancel itself.  A cell
+        over budget is terminated and recorded; the rest of the sweep
+        completes before a :class:`WorkerError` aggregating the cancelled
+        cells is raised.
     executor:
-        Execution backend for the pending (non-cached) cells: ``"local"``
-        (the historical in-process engine) or ``"queue"`` (claim cells
-        from the shared cache root so detached ``faas-sched worker``
-        processes — on any host — can compute them too; see
-        :mod:`repro.experiments.queue`).  ``None`` defers to the
-        ``REPRO_EXECUTOR`` environment variable, then ``local``.
+        What a worker does with a pending (non-cached) cell: ``"local"``
+        runs and stores it; ``"queue"`` claims it from the shared cache
+        root, so detached ``faas-sched worker`` processes — on any host —
+        can compute cells too (see :mod:`repro.experiments.queue`).  Any
+        other name raises :class:`ValueError`.
 
     Results are bit-identical across ``jobs`` values *and* executors: each
     config seeds its own RNGs inside whichever process runs it, and result
     order is fixed by input order, not completion order.
     """
-    from repro.experiments.executor import ExecutionContext, get_executor
-
+    if executor not in EXECUTORS:
+        raise ValueError(f"unknown executor {executor!r}; available: {', '.join(EXECUTORS)}")
     configs = list(configs)
     runner = runner or run_experiment
     cell_timeout = _resolve_cell_timeout(cell_timeout)
-    backend = get_executor(executor)
     stats = stats if stats is not None else EngineStats()
     stats.total += len(configs)
     stats.jobs = max(1, int(jobs))
-    stats.executor = backend.name
+    stats.executor = executor
     started = time.monotonic()
     cache = (
         ResultCache(cache_dir, namespace=_runner_namespace(runner))
@@ -784,17 +830,17 @@ def run_configs(
 
     try:
         if pending:
-            backend.execute(
-                pending,
-                finished,
-                ExecutionContext(
-                    jobs=stats.jobs,
-                    cache=cache,
-                    cell_timeout=cell_timeout,
-                    stats=stats,
-                    runner=runner,
-                ),
-            )
+            if executor == "queue":
+                # Imported here: the queue module builds on this one.
+                from repro.experiments.queue import start_queue_sweep
+
+                cell = start_queue_sweep(cache, [config for _, config in pending])
+            else:
+                cell = functools.partial(_compute, runner, cache)
+            if stats.jobs == 1 and cell_timeout is None:
+                _run_inline(pending, cell, finished)
+            else:
+                _ProcessEngine(stats.jobs, cell, cell_timeout, stats).run(pending, finished)
     finally:
         stats.elapsed += time.monotonic() - started
     return results  # type: ignore[return-value]

@@ -3,10 +3,14 @@
 The ``queue`` executor turns the content-addressed result cache into a
 work queue: the submitting process writes one *queue entry* per pending
 cell (fingerprint-keyed, under ``<root>/queue/``), and any number of
-worker processes — ``faas-sched worker`` on this host or any host that
-shares the cache directory (NFS, a synced volume, a CI workspace) —
+worker processes — the sweep's own workers (or, at ``jobs=1``, the
+submitting process), and ``faas-sched worker`` on this host or any host
+that shares the cache directory (NFS, a synced volume, a CI workspace) —
 claim entries, compute them, and store the result in the cache.  The
-cache entry *is* the done-marker, so:
+sweep's cells are handed out by the same supervisor as the ``local``
+executor's (:mod:`repro.experiments.parallel`); only what a worker does
+with a cell differs (:func:`handle_cell`).  The cache entry *is* the
+done-marker, so:
 
 * any worker's cache write is every worker's cache hit;
 * an interrupted sweep resumes for free — re-running the grid only
@@ -42,25 +46,23 @@ same bytes.  See docs/DISTRIBUTED.md for the operational guide.
 
 from __future__ import annotations
 
+import functools
 import json
-import multiprocessing
-import multiprocessing.connection
 import os
 import socket
-import sys
 import threading
 import time
 import uuid
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.executor import ExecutionContext, Executor, FinishedCallback
 from repro.experiments.parallel import (
     QUARANTINE_DIR,
+    QUEUE_POLL_S,
+    Cell,
     ResultCache,
-    _terminate,
     config_fingerprint,
     config_from_dict,
     config_to_dict,
@@ -73,13 +75,14 @@ __all__ = [
     "LEASE_TTL_ENV",
     "Lease",
     "QUEUE_DIR",
-    "QueueExecutor",
     "WorkerSummary",
     "enqueue_config",
+    "handle_cell",
     "pending_fingerprints",
     "read_lease",
     "release_lease",
     "run_worker",
+    "start_queue_sweep",
     "try_claim",
 ]
 
@@ -98,8 +101,6 @@ LEASE_TTL_ENV = "REPRO_LEASE_TTL"
 DEFAULT_LEASE_TTL = 60.0
 #: Heartbeats per TTL window.
 _HEARTBEAT_FRACTION = 4.0
-#: Poll interval while waiting on cells claimed by other workers.
-DEFAULT_POLL_S = 0.2
 
 #: ``callback(fingerprint, label)`` invoked when a worker starts a cell.
 WorkerProgress = Callable[[str, str], None]
@@ -491,11 +492,10 @@ def _entry_config(path: Path, fingerprint: str) -> Optional[ExperimentConfig]:
 def run_worker(
     cache_dir: Union[str, Path],
     *,
-    poll: float = DEFAULT_POLL_S,
+    poll: float = QUEUE_POLL_S,
     idle_timeout: Optional[float] = None,
     lease_ttl: Optional[float] = None,
     max_cells: Optional[int] = None,
-    only: Optional[Set[str]] = None,
     progress: Optional[WorkerProgress] = None,
 ) -> WorkerSummary:
     """Claim-and-compute loop over a shared cache root's work queue.
@@ -509,8 +509,6 @@ def run_worker(
     nothing to claim — every remaining cell done or leased by a live
     worker), or after ``max_cells`` computations.
 
-    ``only`` restricts the worker to a fingerprint subset (the queue
-    executor's local helpers use this to drain exactly their own sweep).
     An exception inside a cell releases the lease and leaves the queue
     entry in place, then propagates — the cell stays computable by
     another worker (which will hit the same deterministic error and
@@ -532,7 +530,7 @@ def run_worker(
         while True:
             if max_cells is not None and summary.computed >= max_cells:
                 break
-            if _scan_once(cache, owner, ttl, summary, only, progress, max_cells):
+            if _scan_once(cache, owner, ttl, summary, progress, max_cells):
                 idle_since = None
                 continue
             if not idle_timeout:
@@ -553,7 +551,6 @@ def _scan_once(
     owner: str,
     ttl: float,
     summary: WorkerSummary,
-    only: Optional[Set[str]],
     progress: Optional[WorkerProgress],
     max_cells: Optional[int],
 ) -> bool:
@@ -561,8 +558,6 @@ def _scan_once(
     root = cache.root
     progressed = False
     for fingerprint in pending_fingerprints(root):
-        if only is not None and fingerprint not in only:
-            continue
         if max_cells is not None and summary.computed >= max_cells:
             break
         if _done_path(root, fingerprint).exists():
@@ -595,10 +590,11 @@ def _claim_and_compute(
     progress: Optional[WorkerProgress] = None,
 ) -> Optional[ExperimentResult]:
     """Claim one cell, then compute, store and dequeue it under a
-    heartbeated lease (the claim path of workers and the queue executor
-    alike).  Returns the result, or ``None`` when another worker holds
-    the claim or the cell is already done.  A raising cell releases its
-    lease and keeps its queue entry, so it stays computable."""
+    heartbeated lease (the one claim path: ``faas-sched worker`` and the
+    queue executor's :func:`handle_cell` both take it).  Returns the
+    result, or ``None`` when another worker holds the claim or the cell is
+    already done.  A raising cell releases its lease and keeps its queue
+    entry, so it stays computable."""
     if not try_claim(root, fingerprint, owner=owner, ttl=ttl):
         return None
     # Claimed after the caller's done-check raced a finishing worker?  The
@@ -624,137 +620,60 @@ def _claim_and_compute(
 # ----------------------------------------------------------------------
 # The queue executor
 # ----------------------------------------------------------------------
-def _helper_main(root: str, only: List[str], ttl: float) -> None:
-    """Entry point of a local helper worker (one subprocess per job): it
-    exits as soon as no cell of its sweep is left for it to claim."""
-    run_worker(root, only=set(only), lease_ttl=ttl, idle_timeout=0)
-
-
-def _wait_for_helpers(helpers: List[Any], timeout: float) -> None:
-    """Sleep up to ``timeout``, waking as soon as a live helper exits —
-    after its last store, or killed with a lease left to steal.
-    ``is_alive`` also reaps exited helpers, so a killed helper's pid is
-    gone and its lease reads as stale."""
-    live = [helper.sentinel for helper in helpers if helper.is_alive()]
-    if live:
-        multiprocessing.connection.wait(live, timeout=timeout)
-    else:
-        time.sleep(timeout)
-
-
-class QueueExecutor(Executor):
-    """Claim-file distribution over the shared cache root.
-
-    The submitting process enqueues every pending cell, then acts as a
-    worker itself: it claims and computes cells inline, polling for
-    done-markers produced by other workers in between.  ``jobs > 1``
-    additionally spawns ``jobs - 1`` local helper workers restricted to
-    this sweep's fingerprints, giving the queue executor the same
-    single-host parallelism as the local engine while staying open to
-    any number of external ``faas-sched worker`` processes.  A helper
-    exits as soon as nothing in the sweep is left for it to claim.
+def start_queue_sweep(cache: Optional[ResultCache], configs: List[ExperimentConfig]) -> Cell:
+    """Enqueue a sweep's pending cells and return the function its workers
+    handle each one with (:func:`handle_cell`).
 
     Requires a cache directory (the cache root *is* the coordination
     medium) and the default runner,
-    :func:`~repro.experiments.runner.run_experiment` (a custom runner
-    callable cannot be reconstructed by a detached worker process).  Rejects
-    ``cell_timeout``: the lease heartbeat keeps a claimed cell alive for
-    as long as it runs, so a per-cell deadline cannot be enforced here
-    and is refused rather than silently ignored.
+    :func:`~repro.experiments.runner.run_experiment`, whose cache
+    namespace is the only one queue entries and workers know (a custom
+    runner callable cannot be reconstructed by a detached worker process).
     """
-
-    name = "queue"
-
-    def __init__(
-        self, poll: float = DEFAULT_POLL_S, lease_ttl: Optional[float] = None
-    ) -> None:
-        self.poll = poll
-        self.lease_ttl = lease_ttl
-
-    def execute(
-        self,
-        pending: List[Tuple[int, ExperimentConfig]],
-        finished: FinishedCallback,
-        context: ExecutionContext,
-    ) -> None:
-        cache = context.cache
-        if cache is None:
-            raise ValueError(
-                "the queue executor requires a cache directory "
-                "(--cache-dir / cache_dir=...): the shared cache root is "
-                "the work queue and the done-marker store"
-            )
-        if context.cell_timeout is not None:
-            raise ValueError(
-                "the queue executor does not enforce --cell-timeout: a "
-                "claimed cell's lease heartbeat keeps it alive however "
-                "long it runs, so the per-cell deadline would be silently "
-                "ignored — drop the flag (or unset REPRO_CELL_TIMEOUT), "
-                "or use executor='local'"
-            )
-        if context.runner is not run_experiment:
-            raise ValueError(
-                "the queue executor supports only the default "
-                "experiment runners; a custom runner callable cannot "
-                "be reconstructed by detached workers — use "
-                "executor='local'"
-            )
-        root = cache.root
-        ttl = _resolve_ttl(self.lease_ttl)
-        _sweep_stale_tombstones(root, ttl)
-        owner = new_owner_id()
-        remaining: Dict[str, Tuple[int, ExperimentConfig]] = {}
-        for index, config in pending:
-            fingerprint = enqueue_config(root, config)
-            remaining[fingerprint] = (index, config)
-        helpers = self._spawn_helpers(context.jobs, root, list(remaining), ttl)
-        try:
-            while remaining:
-                progressed = False
-                for fingerprint in list(remaining):
-                    index, config = remaining[fingerprint]
-                    if _done_path(root, fingerprint).exists():
-                        result = cache.load(config)
-                        if result is None:
-                            # Corrupt done-marker (e.g. torn disk write):
-                            # quarantine it first — while it exists,
-                            # enqueue_config short-circuits and this
-                            # branch re-enters forever — then put the
-                            # cell back in play.
-                            _quarantine_done_marker(root, fingerprint)
-                            enqueue_config(root, config)
-                            progressed = True
-                            continue
-                        _reap(root, fingerprint)
-                    else:
-                        result = _claim_and_compute(root, fingerprint, config, cache, owner, ttl)
-                        if result is None:
-                            continue
-                    # run_configs served every cache hit before calling
-                    # us, so the cell counts as computed, whoever did it.
-                    finished(index, config, result, False)
-                    del remaining[fingerprint]
-                    progressed = True
-                if remaining and not progressed:
-                    _wait_for_helpers(helpers, self.poll)
-        finally:
-            for helper in helpers:
-                helper.join(timeout=5.0)
-                _terminate(helper)  # a wedged helper
-
-    def _spawn_helpers(
-        self, jobs: int, root: Path, fingerprints: List[str], ttl: float
-    ) -> List[Any]:
-        count = min(max(0, jobs - 1), len(fingerprints))
-        if count == 0:
-            return []
-        context = multiprocessing.get_context(
-            "fork" if sys.platform.startswith("linux") else None
+    if cache is None:
+        raise ValueError(
+            "the queue executor requires a cache directory "
+            "(--cache-dir / cache_dir=...): the shared cache root is "
+            "the work queue and the done-marker store"
         )
-        helpers = []
-        for _ in range(count):
-            process = context.Process(target=_helper_main, args=(str(root), fingerprints, ttl))
-            process.daemon = True
-            process.start()
-            helpers.append(process)
-        return helpers
+    if cache.namespace:
+        raise ValueError(
+            "the queue executor supports only the default "
+            "experiment runners; a custom runner callable cannot "
+            "be reconstructed by detached workers — use "
+            "executor='local'"
+        )
+    ttl = _resolve_ttl(None)
+    _sweep_stale_tombstones(cache.root, ttl)
+    for config in configs:
+        enqueue_config(cache.root, config)
+    return functools.partial(handle_cell, cache, ttl)
+
+
+def handle_cell(
+    cache: ResultCache, ttl: float, config: ExperimentConfig
+) -> Optional[ExperimentResult]:
+    """One queued cell of a sweep, in a supervisor's worker or inline.
+
+    A cell that is done already (another worker computed it) is loaded
+    and reaped; any other is claimed, computed, stored and dequeued under
+    a heartbeated lease (:func:`_claim_and_compute`).  Returns ``None``
+    when a live worker elsewhere holds the lease (or finished the cell
+    meanwhile); the supervisor offers the cell again later.
+    ``run_configs`` served every cache hit before the sweep began, so
+    whoever computed the cell, it counts as computed.
+    """
+    root = cache.root
+    fingerprint = config_fingerprint(config)
+    if _done_path(root, fingerprint).exists():
+        result = cache.load(config)
+        if result is not None:
+            _reap(root, fingerprint)
+            return result
+        # A corrupt done-marker (e.g. a torn disk write): quarantine it
+        # first — while it exists, enqueue_config short-circuits and every
+        # done-check reports the cell finished — then put the cell back in
+        # play.
+        _quarantine_done_marker(root, fingerprint)
+        enqueue_config(root, config)
+    return _claim_and_compute(root, fingerprint, config, cache, new_owner_id(), ttl)

@@ -7,13 +7,13 @@ a rendered report.  ``quick=True`` runs a scaled-down version (fewer
 seeds / smaller sweeps) suitable for CI and the default benchmark
 invocation; ``quick=False`` reproduces the paper's full protocol.
 ``engine`` carries the execution knobs (worker count, cache directory,
-progress callback); ``workload`` an optional scenario override
+progress callback), which every artifact but Table I passes to the
+engine; ``workload`` an optional scenario override
 (``--scenario``/``--scenario-param``), ``cluster`` an optional
 cluster-topology override (``--nodes``/``--balancer``/...) and
 ``policies`` an optional scheduling-policy override
-(``--policies``/``--policy-param``) for the grid-backed artifacts;
-artifacts that do not run the grid ignore the engine knobs and reject
-the overrides.
+(``--policies``/``--policy-param``) for the grid-backed artifacts.
+Artifacts reject what they cannot honor rather than ignore it.
 """
 
 from __future__ import annotations
@@ -194,15 +194,25 @@ def _grid_spec(
 
 
 def _table1(quick, engine, workload, cluster, policies, failures) -> str:
+    # Table I's sequential client is not an ExperimentConfig cell: refuse
+    # the engine knobs rather than drop them (the progress callback, which
+    # the CLI always passes, merely goes unused).
+    if engine != EngineOptions(progress=engine.progress):
+        raise ValueError(
+            "table1 runs a sequential client outside the engine and does not "
+            "honor --jobs, --cache-dir, --cell-timeout or --executor"
+        )
     return run_table1(calls_per_function=20 if quick else 50).render()
 
 
 def _fig2(quick, engine, workload, cluster, policies, failures) -> str:
     if quick:
         return run_fig2(
-            memories_mb=(4096, 16384, 32768, 131072), intensities=(30, 120)
+            memories_mb=(4096, 16384, 32768, 131072),
+            intensities=(30, 120),
+            **engine.run_kwargs(),
         ).render()
-    return run_fig2().render()
+    return run_fig2(**engine.run_kwargs()).render()
 
 
 def _fig3(quick, engine, workload, cluster, policies, failures) -> str:
@@ -249,7 +259,8 @@ def _table4(quick, engine, workload, cluster, policies, failures) -> str:
 
 
 def _fig5(quick, engine, workload, cluster, policies, failures) -> str:
-    return run_fig5(seeds=(1,) if quick else (1, 2, 3, 4, 5)).render()
+    seeds = (1,) if quick else (1, 2, 3, 4, 5)
+    return run_fig5(seeds=seeds, **engine.run_kwargs()).render()
 
 
 def _fig6(quick, engine, workload, cluster, policies, failures) -> str:
@@ -289,14 +300,10 @@ def _fig6(quick, engine, workload, cluster, policies, failures) -> str:
 
 
 def _ablations(quick, engine, workload, cluster, policies, failures) -> str:
-    reports = [
-        ablate_estimator_window().render(),
-        ablate_busy_limit().render(),
-    ]
+    studies = [ablate_estimator_window, ablate_busy_limit]
     if not quick:
-        reports.append(ablate_fc_horizon().render())
-        reports.append(ablate_cold_start_cost().render())
-    return "\n\n".join(reports)
+        studies += [ablate_fc_horizon, ablate_cold_start_cost]
+    return "\n\n".join(study(**engine.run_kwargs()).render() for study in studies)
 
 
 #: Experiment id -> (description, runner).
@@ -369,16 +376,18 @@ def run_registered(
     policy_params: _Params = (),
     failure_params: _Params = (),
     cell_timeout: Optional[float] = None,
-    executor: Optional[str] = None,
+    executor: str = "local",
     stats: Optional[EngineStats] = None,
 ) -> str:
     """Run a registered experiment and return its rendered report.
 
     ``jobs``, ``cache_dir`` and ``progress`` configure the parallel
-    execution engine for the engine-run artifacts (fig3/fig4, tables 2–4
-    and fig6).  ``scenario``/``scenario_params`` override the grid-backed
-    artifacts' workload with any registered scenario (see
-    ``faas-sched scenarios``); ``None`` keeps the paper's protocol.
+    execution engine for every artifact but table1, whose sequential
+    client is not a grid cell and rejects ``jobs``, ``cache_dir``,
+    ``cell_timeout`` and ``executor``.  ``scenario``/``scenario_params``
+    override the grid-backed artifacts' workload with any registered
+    scenario (see ``faas-sched scenarios``); ``None`` keeps the paper's
+    protocol.
     ``nodes``/``balancers`` (plus ``balancer_params``/``autoscale``)
     sweep the grid-backed artifacts over cluster topologies; fig6 — a
     node-count sweep by construction — honors a single ``balancers``
@@ -388,10 +397,10 @@ def run_registered(
     parameters reaching each strategy that declares them.
     ``failure_params`` name :class:`~repro.failures.spec.FailureSpec`
     fields and rerun the grid-backed artifacts under that fault regime
-    (docs/FAILURES.md); ``cell_timeout`` bounds each cell's wall clock
-    when ``jobs > 1``.  ``executor`` selects the execution backend for
-    the engine-run artifacts (``local`` process pool or the distributed
-    ``queue`` — see :mod:`repro.experiments.executor`); ``stats``
+    (docs/FAILURES.md); ``cell_timeout`` bounds each cell's wall clock.
+    ``executor`` says what a worker does with a cell (``local`` runs it,
+    the distributed ``queue`` claims it — see
+    :mod:`repro.experiments.queue`); ``stats``
     supplies a shared :class:`~repro.experiments.parallel.EngineStats`
     that accumulates engine counters across the artifact's sweeps.  The
     remaining artifacts reject the overrides rather than silently

@@ -226,6 +226,28 @@ class TestCellTimeout:
         cached = list(cache_dir.glob("*/*.json"))
         assert len(cached) == len(configs) - 1
 
+    @pytest.mark.parametrize("via", ["argument", "environment"])
+    def test_budget_at_one_job_runs_through_a_worker(self, tmp_path, monkeypatch, via):
+        # The inline path cannot cancel itself, so a budget is never
+        # ignored: even at jobs=1 the sweep runs through the supervisor.
+        if via == "environment":
+            monkeypatch.setenv(CELL_TIMEOUT_ENV, "1.0")
+        configs = tiny_configs()
+        stats = EngineStats()
+        with pytest.raises(WorkerError) as err:
+            run_configs(
+                configs,
+                jobs=1,
+                runner=sleepy_runner,
+                cache_dir=tmp_path,
+                stats=stats,
+                cell_timeout=1.0 if via == "argument" else None,
+            )
+        assert stats.timeouts == 1
+        assert configs[0].label() in str(err.value)
+        assert stats.computed == len(configs) - 1
+        assert len(list(tmp_path.glob("*/*.json"))) == len(configs) - 1
+
     def test_env_var_supplies_the_default_budget(self, monkeypatch):
         monkeypatch.setenv(CELL_TIMEOUT_ENV, "2.5")
         assert parallel._resolve_cell_timeout(None) == 2.5

@@ -1,48 +1,15 @@
-"""The executor interface: registry, selection, and the local backend."""
+"""The executor choice and the local backend."""
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.executor import (
-    EXECUTOR_ENV,
-    LocalExecutor,
-    executor_names,
-    get_executor,
-    register_executor,
-)
 from repro.experiments.grid import GridSpec, run_grid
 from repro.experiments.parallel import EngineStats, run_configs
 
 
-class TestRegistry:
-    def test_both_builtin_executors_are_registered(self):
-        assert executor_names() == ["local", "queue"]
-
-    def test_default_is_local(self):
-        assert get_executor().name == "local"
-        assert isinstance(get_executor(), LocalExecutor)
-
-    def test_queue_resolves_lazily(self):
-        assert get_executor("queue").name == "queue"
-
-    def test_unknown_name_lists_available(self):
-        with pytest.raises(ValueError, match="unknown executor 'slurm'.*local.*queue"):
-            get_executor("slurm")
-
-    def test_env_var_selects_executor(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "queue")
-        assert get_executor().name == "queue"
-        # An explicit argument beats the environment.
-        assert get_executor("local").name == "local"
-
-    def test_env_var_with_bad_name_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "nope")
-        with pytest.raises(ValueError, match="unknown executor 'nope'"):
-            get_executor()
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_executor("local", LocalExecutor)
+def test_unknown_executor_lists_available():
+    with pytest.raises(ValueError, match="unknown executor 'slurm'.*local.*queue"):
+        run_configs([ExperimentConfig(cores=10, intensity=30, seed=1)], executor="slurm")
 
 
 class TestLocalBackend:

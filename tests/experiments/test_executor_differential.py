@@ -3,8 +3,8 @@
 Each cell seeds its own RNGs from its config, so whichever engine runs a
 sweep, the cache root it leaves behind must be byte-identical, and its
 engine counters must tell the truth: a cold pass computes every cell, an
-all-hit re-run computes none.  The same holds when workers are SIGKILLed
-mid-sweep on a random schedule.
+all-hit re-run computes none.  The same holds when workers of either
+executor are SIGKILLed mid-sweep on a random schedule.
 """
 
 import os
@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.experiments.queue as queue
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import GridSpec, run_grid
 from repro.experiments.parallel import EngineStats, run_configs
@@ -86,9 +87,12 @@ KILL_CONFIGS = [
 ]
 
 
-def _kill_schedule_run(root, spared, jobs):
+def _kill_schedule_run(root, spared, jobs, executor):
     """Run ``KILL_CONFIGS`` through :func:`kill_once_runner` with sentinels
-    for the ``spared`` configs only; the stats and the cache root's files."""
+    for the ``spared`` configs only; the stats and the cache root's files.
+    The ``local`` executor takes it as a custom runner; ``queue`` workers
+    compute with the queue module's runner, which forked workers inherit
+    patched."""
     sentinels, cache = root / "sentinels", root / "cache"
     sentinels.mkdir()
     for config in spared:
@@ -96,23 +100,38 @@ def _kill_schedule_run(root, spared, jobs):
     stats = EngineStats()
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_TEST_SENTINELS", str(sentinels))
-        run_configs(KILL_CONFIGS, jobs=jobs, cache_dir=cache, runner=kill_once_runner, stats=stats)
+        patch.setattr(queue, "run_experiment", kill_once_runner)
+        run_configs(
+            KILL_CONFIGS,
+            jobs=jobs,
+            cache_dir=cache,
+            runner=kill_once_runner if executor == "local" else None,
+            executor=executor,
+            stats=stats,
+        )
     return stats, _root_files(cache)
 
 
 @pytest.fixture(scope="module")
 def unkilled(tmp_path_factory):
-    """A serial run with every sentinel pre-created, so nothing dies."""
-    return _kill_schedule_run(tmp_path_factory.mktemp("unkilled"), KILL_CONFIGS, jobs=1)
+    """Per executor, a serial run with every sentinel pre-created, so
+    nothing dies."""
+    return {
+        executor: _kill_schedule_run(
+            tmp_path_factory.mktemp(f"unkilled-{executor}"), KILL_CONFIGS, 1, executor
+        )
+        for executor in ("local", "queue")
+    }
 
 
+@pytest.mark.parametrize("executor", ["local", "queue"])
 @pytest.mark.parametrize("seed", [3, 11, 29])
-def test_random_sigkill_schedule_leaves_the_serial_cache_root(unkilled, tmp_path, seed):
+def test_random_sigkill_schedule_leaves_the_serial_cache_root(unkilled, tmp_path, seed, executor):
     rng = random.Random(seed)
     doomed = set(rng.sample(range(TOTAL), rng.randint(1, TOTAL)))
     spared = [config for i, config in enumerate(KILL_CONFIGS) if i not in doomed]
-    stats, files = _kill_schedule_run(tmp_path, spared, jobs=2)
-    serial_stats, serial_files = unkilled
+    stats, files = _kill_schedule_run(tmp_path, spared, 2, executor)
+    serial_stats, serial_files = unkilled[executor]
     assert (serial_stats.computed, serial_stats.retries) == (TOTAL, 0)
     assert (stats.computed, stats.retries) == (TOTAL, len(doomed))
     assert len(files) == TOTAL

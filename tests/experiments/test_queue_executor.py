@@ -13,12 +13,14 @@ import time
 
 import pytest
 
+import repro.experiments.queue as queue
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid import GridSpec, run_grid
 from repro.experiments.parallel import (
     QUARANTINE_DIR,
     EngineStats,
     ResultCache,
+    WorkerError,
     config_fingerprint,
     config_to_dict,
     result_to_payload,
@@ -30,7 +32,6 @@ from repro.experiments.queue import (
     LEASE_TTL_ENV,
     QUEUE_DIR,
     Lease,
-    QueueExecutor,
     _lease_path,
     _queue_path,
     _sweep_stale_tombstones,
@@ -45,6 +46,7 @@ from repro.experiments.queue import (
     try_claim,
 )
 from repro.experiments.runner import run_experiment
+from tests.experiments.test_engine_robustness import sleepy_runner
 
 _MP = multiprocessing.get_context("fork")
 
@@ -128,14 +130,35 @@ class TestQueueExecutor:
         run_configs([_config()], cache_dir=tmp_path, stats=again)
         assert (stats.computed, again.cached) == (1, 1)
 
-    def test_rejects_cell_timeout(self, tmp_path):
-        # The lease heartbeat keeps a claimed cell alive indefinitely, so
-        # a per-cell deadline cannot be enforced — it must be refused, not
-        # silently ignored.
-        with pytest.raises(ValueError, match="cell-timeout"):
+    def test_hung_cell_is_cancelled_and_its_lease_left_stale(self, tmp_path, monkeypatch):
+        # The sweep's forked workers inherit the patched runner, so the
+        # seed-1 cell hangs inside its lease.
+        monkeypatch.setattr(queue, "run_experiment", sleepy_runner)
+        configs = [_config(seed=s) for s in (1, 2, 3)]
+        stats = EngineStats()
+        with pytest.raises(WorkerError) as err:
             run_configs(
-                [_config()], cache_dir=tmp_path, executor="queue", cell_timeout=5.0
+                configs,
+                cache_dir=tmp_path,
+                executor="queue",
+                jobs=2,
+                cell_timeout=3.0,
+                stats=stats,
             )
+        assert stats.timeouts == 1
+        assert configs[0].label() in str(err.value)
+        assert "cell timeout" in str(err.value)
+        # The other cells finished and were stored before the raise.
+        assert stats.computed == len(configs) - 1
+        cache = ResultCache(tmp_path)
+        assert [cache.load(c) is not None for c in configs] == [False, True, True]
+        # The hung cell stays queued, and its lease is stale by its dead
+        # pid while the heartbeat is still within the TTL.
+        hung = config_fingerprint(configs[0])
+        assert pending_fingerprints(tmp_path) == [hung]
+        lease = read_lease(_lease_path(tmp_path, hung))
+        assert time.time() - lease.heartbeat_at < lease.ttl
+        assert lease_is_stale(lease)
 
     def test_corrupt_done_marker_is_quarantined_and_recomputed(self, tmp_path):
         config = _config()
@@ -186,21 +209,16 @@ class TestQueueExecutor:
             configs, cache_dir=tmp_path, executor="queue", jobs=3, stats=stats
         )
         assert len(results) == 4
-        # Cells the helpers computed count as computed, not as cache hits.
+        # Cells the workers computed count as computed, not as cache hits.
         assert stats.computed == 4
         assert stats.cached == 0
         report = verify_cache(tmp_path)
         assert report.scanned == 4
         assert report.bad == 0
 
-    def test_helper_count_never_exceeds_pending(self, tmp_path):
-        executor = QueueExecutor()
-        helpers = executor._spawn_helpers(jobs=8, root=tmp_path, fingerprints=[], ttl=60)
-        assert helpers == []
-
 
 # ----------------------------------------------------------------------
-# Local helper lifecycle, with real processes
+# Worker lifecycle, with real processes
 # ----------------------------------------------------------------------
 def _serial_entries(root, configs):
     """Entry bytes of ``configs`` computed inline and stored the serial way."""
@@ -225,7 +243,7 @@ class TestHelperLifecycle:
         try:
             assert claimed.wait(30)
             started = time.monotonic()
-            summary = run_worker(tmp_path, only={fingerprint}, idle_timeout=0)
+            summary = run_worker(tmp_path, idle_timeout=0)
             assert time.monotonic() - started < 1.0
         finally:
             release.set()
@@ -241,15 +259,15 @@ class TestHelperLifecycle:
         run_configs(configs, cache_dir=tmp_path, executor="queue", jobs=3)
         returned = time.time()
         assert set(multiprocessing.active_children()) - before == set()
-        # Helpers exit once nothing is left to claim, so the sweep returns
-        # promptly after its last store.
+        # Workers exit once the sweep has nothing left to hand out, so it
+        # returns promptly after its last store.
         cache = ResultCache(tmp_path)
         last_store = max(cache.path_for(c).stat().st_mtime for c in configs)
         assert returned - last_store < 1.0
 
     def test_sigkilled_helper_mid_sweep_is_recomputed(self, tmp_path, monkeypatch):
-        # A killed helper's lease is stale by its dead pid at once; the
-        # sweep must not wait for the TTL to run out.
+        # A killed worker's lease is stale by its dead pid at once; its
+        # cell's retry must not wait for the TTL to run out.
         monkeypatch.setenv(LEASE_TTL_ENV, "30")
         configs = [_config(seed=s, intensity=60) for s in (1, 2, 3, 4, 5, 6)]
         root = tmp_path / "queue-root"
@@ -257,7 +275,7 @@ class TestHelperLifecycle:
         killed, stop = _MP.Value("i", 0), _MP.Event()
 
         def kill_first_helper_lease():
-            # Any lease not held by the sweeping process is a helper's.
+            # Any lease not held by the sweeping process is a worker's.
             while not stop.is_set():
                 for path in (root / CLAIMS_DIR).glob("*.lease"):
                     lease = read_lease(path)
@@ -280,6 +298,7 @@ class TestHelperLifecycle:
         assert stats.elapsed < 10.0
         assert stats.computed == len(configs)
         assert stats.cached == 0
+        assert stats.retries == 1
         assert pending_fingerprints(root) == []
         assert list((root / CLAIMS_DIR).glob("*.lease")) == []
         cache = ResultCache(root)

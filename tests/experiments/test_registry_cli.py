@@ -429,3 +429,23 @@ class TestClusterCli:
             balancers=("power-of-d",),
         )
         assert "[cluster: nodes=2 balancer=power-of-d]" in report
+
+
+class TestEngineFlags:
+    """Every artifact but Table I runs its cells through the engine, and
+    Table I refuses the engine flags rather than dropping them."""
+
+    def test_fig5_stores_its_cells_and_rereads_them(self, capsys, tmp_path):
+        argv = ["run", "fig5", "--cache-dir", str(tmp_path), "--no-progress"]
+        assert main(argv) == 0
+        assert "engine: 6 runs (6 computed, 0 from cache" in capsys.readouterr().out
+        assert len(list(tmp_path.glob("*/*.json"))) == 6
+        assert main(argv) == 0
+        assert "engine: 6 runs (0 computed, 6 from cache" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags", [["--jobs", "2"], ["--cell-timeout", "5"], ["--cache-dir", "."]]
+    )
+    def test_table1_rejects_engine_flags(self, capsys, flags):
+        assert main(["run", "table1", *flags]) == 2
+        assert "table1 runs a sequential client" in capsys.readouterr().err

@@ -92,6 +92,18 @@ def test_unmentioned_environment_variable_fails(docs_copy):
     ]
 
 
+def test_distributed_entries_follow_the_cli(monkeypatch):
+    # The executors are the CLI's --executor choices, and the one
+    # environment variable the page must mention is the lease TTL.
+    import repro.cli
+
+    catalog = CATALOGS["DISTRIBUTED.md"]
+    assert catalog.mentions()["environment variables"] == {"REPRO_LEASE_TTL"}
+    monkeypatch.setattr(repro.cli, "EXECUTORS", (*repro.cli.EXECUTORS, "slurm"))
+    problems, _ = check_docs.check(catalog, check_docs.DOCS_DIR)
+    assert problems == ["entries missing from docs/DISTRIBUTED.md: slurm"]
+
+
 def test_every_failure_is_reported(docs_copy, capsys):
     removed = remove_first_heading(CATALOGS["SCENARIOS.md"], docs_copy)
     added = add_unknown_heading(CATALOGS["FAILURES.md"], docs_copy)

@@ -10,7 +10,7 @@ headings list what the code defines, and checks it in both directions:
 
 A row may also name things that must be mentioned somewhere in the
 page's text (docs/DISTRIBUTED.md: every ``worker`` / ``cache`` CLI flag
-and the ``REPRO_EXECUTOR`` / ``REPRO_LEASE_TTL`` environment variables).
+and the ``REPRO_LEASE_TTL`` environment variable).
 
 Separately, every ``*.md`` file cited in the sources and docs
 (:data:`CITING`) must match a Markdown file in the repository, so no
@@ -108,30 +108,33 @@ def _flags(parser: Parser) -> Set[str]:
     return flags - IGNORED_FLAGS
 
 
-def _worker_and_cache_verbs() -> Tuple[Parser, Dict[str, Parser]]:
-    """The ``worker`` parser and the ``cache`` verbs' parsers."""
+def _commands() -> Dict[str, Parser]:
+    """The CLI's subcommand parsers."""
     from repro.cli import build_parser
 
-    commands = _subcommands(build_parser())
-    return commands["worker"], _subcommands(commands["cache"])
+    return _subcommands(build_parser())
+
+
+def _executor_names(commands: Dict[str, Parser]) -> List[str]:
+    """The ``grid`` verb's ``--executor`` choices."""
+    (executor,) = [a for a in commands["grid"]._actions if "--executor" in a.option_strings]
+    return list(executor.choices)
 
 
 def _distributed_entries() -> Iterable[str]:
-    from repro.experiments.executor import executor_names
-
-    _, cache_verbs = _worker_and_cache_verbs()
-    return [*executor_names(), "worker", *(f"cache {verb}" for verb in cache_verbs)]
+    commands = _commands()
+    cache_verbs = _subcommands(commands["cache"])
+    return [*_executor_names(commands), "worker", *(f"cache {verb}" for verb in cache_verbs)]
 
 
 def _distributed_mentions() -> Dict[str, Set[str]]:
-    from repro.experiments.executor import EXECUTOR_ENV
     from repro.experiments.queue import LEASE_TTL_ENV
 
-    worker, cache_verbs = _worker_and_cache_verbs()
-    flags = _flags(worker)
-    for verb_parser in cache_verbs.values():
+    commands = _commands()
+    flags = _flags(commands["worker"])
+    for verb_parser in _subcommands(commands["cache"]).values():
         flags |= _flags(verb_parser)
-    return {"flags": flags, "environment variables": {EXECUTOR_ENV, LEASE_TTL_ENV}}
+    return {"flags": flags, "environment variables": {LEASE_TTL_ENV}}
 
 
 @dataclass(frozen=True)
