@@ -55,7 +55,7 @@ import time
 import uuid
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
@@ -342,30 +342,53 @@ def release_lease(
 
 
 class _LeaseHeartbeat(threading.Thread):
-    """Background refresher keeping a lease fresh while its cell runs."""
+    """A process's lease refresher: one daemon thread per process keeps
+    ``lease``, the ``(root, fingerprint, owner, ttl)`` the process holds,
+    fresh every ttl/4."""
 
-    def __init__(self, root: Path, fingerprint: str, owner: str, ttl: float) -> None:
-        super().__init__(daemon=True, name=f"lease-heartbeat-{fingerprint[:8]}")
-        self.root = root
-        self.fingerprint = fingerprint
-        self.owner = owner
-        self.ttl = ttl
-        self.interval = max(ttl / _HEARTBEAT_FRACTION, 0.05)
-        self._stop_event = threading.Event()
+    def __init__(self) -> None:
+        super().__init__(daemon=True, name="lease-heartbeat")
+        self.lease: Optional[Tuple[Path, str, str, float]] = None
+        self._changed = threading.Condition()
+
+    def hold(self, lease: Optional[Tuple[Path, str, str, float]]) -> None:
+        """Refresh *lease* from now on (``None``: nothing).  On return no
+        refresh is in flight, so a release that follows stays released."""
+        with self._changed:
+            self.lease = lease
+            self._changed.notify()
 
     def run(self) -> None:
-        while not self._stop_event.wait(self.interval):
-            try:
-                if not refresh_lease(
-                    self.root, self.fingerprint, owner=self.owner, ttl=self.ttl
-                ):
-                    return  # lease stolen or released: stop asserting it
-            except OSError:  # pragma: no cover - cache root vanished
-                return
+        with self._changed:
+            while True:
+                lease = self.lease
+                if lease is None:
+                    self._changed.wait()
+                    continue
+                self._changed.wait(max(lease[3] / _HEARTBEAT_FRACTION, 0.05))
+                if self.lease is not lease:
+                    continue
+                root, fingerprint, owner, ttl = lease
+                try:
+                    fresh = refresh_lease(root, fingerprint, owner=owner, ttl=ttl)
+                except OSError:  # pragma: no cover - cache root vanished
+                    fresh = False
+                if not fresh:
+                    self.lease = None  # stolen or released: stop asserting it
 
-    def stop(self) -> None:
-        self._stop_event.set()
-        self.join(timeout=5.0)
+
+_heartbeat: Optional[_LeaseHeartbeat] = None
+
+
+def _process_heartbeat() -> _LeaseHeartbeat:
+    """This process's heartbeat, started on its first claim (a forked
+    child finds its parent's thread dead and starts its own).  A process
+    holds one claim at a time."""
+    global _heartbeat
+    if _heartbeat is None or not _heartbeat.is_alive():
+        _heartbeat = _LeaseHeartbeat()
+        _heartbeat.start()
+    return _heartbeat
 
 
 # ----------------------------------------------------------------------
@@ -605,14 +628,14 @@ def _claim_and_compute(
         return None
     if progress is not None:
         progress(fingerprint, config.label())
-    heartbeat = _LeaseHeartbeat(root, fingerprint, owner, ttl)
-    heartbeat.start()
+    heartbeat = _process_heartbeat()
+    heartbeat.hold((root, fingerprint, owner, ttl))
     try:
         result = run_experiment(config)
         cache.store(config, result)
         _remove_queue_entry(root, fingerprint)
     finally:
-        heartbeat.stop()
+        heartbeat.hold(None)
         release_lease(root, fingerprint, owner=owner)
     return result
 

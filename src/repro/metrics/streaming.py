@@ -82,14 +82,14 @@ class ExactSum:
                 self.add(float(x))
 
     def add(self, x: float) -> None:
-        """Fold *x* into the running sum, exactly."""
+        """Fold *x* into the running sum, exactly (each rounding error by
+        Knuth's TwoSum, which needs no comparison of magnitudes)."""
         partials = self._partials
         i = 0
         for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
             hi = x + y
-            lo = y - (hi - x)
+            yy = hi - x
+            lo = (x - (hi - yy)) + (y - yy)
             if lo:
                 partials[i] = lo
                 i += 1

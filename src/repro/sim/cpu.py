@@ -15,17 +15,18 @@ water-filling*: capacity proportional to weight, truncated at ``max_rate``,
 with the surplus recursively redistributed.  An optional *efficiency*
 function models context-switching/management overhead: with ``n`` active
 tasks the bank delivers ``cores * efficiency(n, cores)`` core-seconds per
-second in total.  This is the mechanism by which CPU oversubscription (the
-OpenWhisk baseline) degrades, while the paper's 1-container-per-core policy
+second in total (computed once per ``n``, so the function must be pure).
+This is the mechanism by which CPU oversubscription (the OpenWhisk
+baseline) degrades, while the paper's 1-container-per-core policy
 (``n <= cores``, each at rate 1) is overhead-free.
 
 Implementation notes (details and measurements in docs/PERFORMANCE.md)
 ----------------------------------------------------------------------
 ``SharedCPU`` keeps its live tasks in parallel Python lists (task, remaining
-work, rate, weight, cap) in insertion order, and every membership change
-re-runs the reference water-filler
-(:func:`repro.sim.waterfill.waterfill_rates`) over the weight and cap lists.
-That order fixes every floating-point result: each task's
+work, rate, weight, cap) in insertion order.  Each membership change (a
+submission or the wake-up) is one ``_step``, which re-runs the reference
+water-filler (:func:`repro.sim.waterfill.waterfill_rates`) over the weight
+and cap lists.  That order fixes every floating-point result: each task's
 ``work -= rate * elapsed`` chain, the delivered and idle core-seconds from
 the left-fold of the rates, the completion order, and the wake-up at the
 minimum ``work / rate``.  The wake-up is a
@@ -47,7 +48,7 @@ rate/weight/cap columns are gone.  A task that would share a core raises.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.sim.waterfill import waterfill_rates
 
@@ -150,10 +151,10 @@ class SharedCPU:
         self._last_update = env.now
         #: Simulation time the bank came into existence (utilization basis).
         self.created_at = env.now
-        self._wake_timer = env.timer(self._on_wake)
-        #: Indices of the tasks the last accounting update found at or
-        #: below the finish threshold (consumed by ``_finish_done``).
-        self._finish_pending: List[int] = []
+        #: ``cores * efficiency(n, cores)`` by live-task count *n*
+        #: (``efficiency`` must be pure).
+        self._capacity: Dict[int, float] = {}
+        self._wake_timer = env.timer(self._step)
         #: core-seconds of useful work delivered so far.
         self.delivered_work = 0.0
         #: integral of (cores - delivered rate) over time, i.e. idle core-seconds.
@@ -190,96 +191,70 @@ class SharedCPU:
         if max_rate <= 0:
             raise ValueError(f"max_rate must be positive, got {max_rate!r}")
         task = CpuTask(work, weight, min(max_rate, self.cores), then, label)
-        self._advance()
-        if task._work <= _EPS:
-            _complete(self.env, task)
-        else:
-            task._bank = self
-            tasks = self._tasks
-            tasks.append(task)
-            self._works.append(task._work)
-            self._rates.append(0.0)
-            self._weights.append(task.weight)
-            self._caps.append(task.max_rate)
-            if len(tasks) > self.peak_tasks:
-                self.peak_tasks = len(tasks)
-        self._rebalance_and_arm()
+        self._step(task)
         return task
 
-    def _advance(self) -> None:
-        """Account for work done since the last update.
-
-        Applies ``work -= rate * elapsed`` to every task with a non-zero
-        rate, adds the insertion-order left-fold of the rates to the
-        delivered and idle core-seconds, and flags the tasks at or below
-        the finish threshold in ``_finish_pending``.
-        """
-        now = self.env.now
+    def _step(self, task: Optional[CpuTask] = None) -> None:
+        """One membership change, the submission of *task* or the wake-up:
+        advance every live task, complete *task* if it has no work left and
+        then the finished tasks, water-fill, and arm or cancel the wake-up
+        at the earliest projected completion."""
+        env = self.env
+        now = env._now
         elapsed = now - self._last_update
+        self._last_update = now
+        tasks, works, rates = self._tasks, self._works, self._rates
+        done = []
         if elapsed > 0.0:
             total = 0.0
-            works = self._works
-            pending = self._finish_pending
-            for i, r in enumerate(self._rates):
-                if r != 0.0:
-                    w = works[i] - r * elapsed
-                    works[i] = w
-                    total += r
-                    if w <= _EPS:
-                        pending.append(i)
+            for i, r in enumerate(rates):
+                w = works[i] - r * elapsed
+                works[i] = w
+                total += r
+                if w <= _EPS:
+                    done.append(i)
             self.delivered_work += total * elapsed
-            self.idle_core_seconds += max(0.0, self.cores - total) * elapsed
-        self._last_update = now
-
-    def _finish_done(self) -> None:
-        """Complete the tasks flagged by the last :meth:`_advance`, in
-        insertion order, and drop them from the columns."""
-        done = self._finish_pending
-        if done:
-            self._finish_pending = []
-            tasks, works, rates = self._tasks, self._works, self._rates
-            weights, caps = self._weights, self._caps
-            env = self.env
-            for i in done:
-                task = tasks[i]
-                task._work = 0.0
-                task._rate = rates[i]
-                task._bank = None
+            idle = self.cores - total
+            if idle > 0.0:
+                self.idle_core_seconds += idle * elapsed
+        if task is not None:
+            if task._work <= _EPS:
                 _complete(env, task)
+            else:
+                task._bank = self
+                tasks.append(task)
+                works.append(task._work)
+                self._weights.append(task.weight)
+                self._caps.append(task.max_rate)
+                if len(tasks) > self.peak_tasks:
+                    self.peak_tasks = len(tasks)
+        if done:
+            weights, caps = self._weights, self._caps
+            for i in done:
+                finished = tasks[i]
+                finished._work = 0.0
+                finished._rate = rates[i]
+                finished._bank = None
+                _complete(env, finished)
             for i in reversed(done):
                 del tasks[i], works[i], rates[i], weights[i], caps[i]
-
-    def _rebalance(self) -> None:
-        """Capped water-filling of ``cores * efficiency`` across the live
-        tasks."""
-        n = len(self._tasks)
-        if n:
-            eff = self._efficiency(n, self.cores) if self._efficiency else 1.0
-            self._rates = waterfill_rates(self._weights, self._caps, self.cores * eff)
-
-    def _rebalance_and_arm(self) -> None:
-        self._finish_done()
-        self._rebalance()
-        self._arm_wake()
-
-    def _arm_wake(self) -> None:
-        """(Re)arm the wake-up at the earliest projected completion, or
-        cancel it when no task is progressing."""
+        n = len(tasks)
         horizon: Optional[float] = None
-        works = self._works
-        for i, r in enumerate(self._rates):
-            if r > 0.0:
-                eta = works[i] / r
-                if horizon is None or eta < horizon:
-                    horizon = eta
+        if n:
+            capacity = self._capacity.get(n)
+            if capacity is None:
+                eff = self._efficiency(n, self.cores) if self._efficiency else 1.0
+                capacity = self._capacity[n] = self.cores * eff
+            rates = self._rates = waterfill_rates(self._weights, self._caps, capacity)
+            for w, r in zip(works, rates):
+                if r > 0.0:
+                    eta = w / r
+                    if horizon is None or eta < horizon:
+                        horizon = eta
         if horizon is None:
             self._wake_timer.cancel()
         else:
             self._wake_timer.arm(horizon if horizon > 0.0 else 0.0)
-
-    def _on_wake(self) -> None:
-        self._advance()
-        self._rebalance_and_arm()
 
 
 class DedicatedTask:
@@ -316,7 +291,7 @@ class DedicatedCPU:
         self._last_update = env.now
         #: Simulation time the bank came into existence (utilization basis).
         self.created_at = env.now
-        self._wake_timer = env.timer(self._on_wake)
+        self._wake_timer = env.timer(self._step)
         #: core-seconds of useful work delivered so far.
         self.delivered_work = 0.0
         #: integral of idle cores over time, in core-seconds.
@@ -366,57 +341,47 @@ class DedicatedCPU:
                 f"on {self.cores} dedicated cores"
             )
         task = DedicatedTask(then, label)
-        self._advance()
-        if work <= _EPS:
-            _complete(self.env, task)
-        else:
-            self._works.append(work)
-            tasks.append(task)
-            n = len(tasks)
-            if n > self.peak_tasks:
-                self.peak_tasks = n
-        self._settle()
+        self._step(task, work)
         return task
 
-    def _advance(self) -> None:
-        """Account for work done since the last update: every live task
-        ran on one core (``1.0 * elapsed`` is exactly ``elapsed``)."""
-        now = self.env._now
+    def _step(self, task: Optional[DedicatedTask] = None, work: float = 0.0) -> None:
+        """One membership change, the submission of *task* with *work* or
+        the wake-up, as in :meth:`SharedCPU._step` with every rate 1.0
+        (``1.0 * elapsed`` is exactly ``elapsed``)."""
+        env = self.env
+        now = env._now
         elapsed = now - self._last_update
+        self._last_update = now
+        works, tasks = self._works, self._tasks
         if elapsed > 0.0:
-            works = self._works
             n = len(works)
             if n:
-                self._works = [w - elapsed for w in works]
+                works = self._works = [w - elapsed for w in works]
             self.delivered_work += n * elapsed
             self.idle_core_seconds += (self.cores - n) * elapsed
-        self._last_update = now
-
-    def _settle(self) -> None:
-        """Complete tasks at or below the finish threshold (insertion
-        order), then re-arm the wake-up at the earliest completion."""
-        works = self._works
+        if task is not None:
+            if work <= _EPS:
+                _complete(env, task)
+            else:
+                works.append(work)
+                tasks.append(task)
+                if len(tasks) > self.peak_tasks:
+                    self.peak_tasks = len(tasks)
         if not works:
             self._wake_timer.cancel()
             return
         soonest = min(works)
         if soonest <= _EPS:
-            tasks, env = self._tasks, self.env
             done = [i for i, w in enumerate(works) if w <= _EPS]
             for i in done:
                 _complete(env, tasks[i])
             for i in reversed(done):
-                del works[i]
-                del tasks[i]
+                del works[i], tasks[i]
             if not works:
                 self._wake_timer.cancel()
                 return
             soonest = min(works)
         self._wake_timer.arm(soonest)
-
-    def _on_wake(self) -> None:
-        self._advance()
-        self._settle()
 
 
 def _complete(env: "Environment", task: "CpuTask | DedicatedTask") -> None:

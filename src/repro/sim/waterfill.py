@@ -1,9 +1,12 @@
 """Capped water-filling, the allocator of :class:`~repro.sim.cpu.SharedCPU`.
 
-A pure function over parallel lists, lifted out verbatim from the original
-bank.  ``SharedCPU`` calls it on every membership change with its live
-tasks' weights and caps in insertion order and keeps the returned rates as
-they are, so this one function is the allocator.  The property tests in
+A pure function over parallel lists.  ``SharedCPU`` calls it on every
+membership change with its live tasks' weights and caps in insertion order
+and keeps the returned rates as they are, so this one function is the
+allocator.  Most calls end early: when the caps sum to at most the
+capacity every task gets its cap, and the first round, run over the lists
+themselves, returns the proportional shares when none reaches its cap.
+The property tests in
 ``tests/sim/test_waterfill_properties.py`` check, under randomized churn,
 that the bank's rates equal its output for the live population and the
 bank's capacity *exactly* (same IEEE-754 results, not just approximately).
@@ -53,40 +56,40 @@ def waterfill_rates(
     n = len(weights)
     if len(caps) != n:
         raise ValueError(f"weights/caps length mismatch ({n} vs {len(caps)})")
-    rates = [0.0] * n
-    if n == 0:
-        return rates
     # Fast path: everyone fits under their cap.
     caps_sum = 0.0
     for cap in caps:
         caps_sum += cap
     if caps_sum <= capacity:
-        rates[:] = caps
-        return rates
-    # Iterative water-filling: give proportional shares; freeze capped
-    # tasks at their cap and redistribute the remainder.
+        return list(caps)
+    # The first round runs over the lists themselves: proportional shares
+    # of the whole capacity, final when no task reaches its cap.
+    weight_sum = 0.0
+    for weight in weights:
+        weight_sum += weight
+    shares = [capacity * weight / weight_sum for weight in weights]
+    capped = [i for i, share in enumerate(shares) if share >= caps[i] - CAP_SLACK]
+    if not capped:
+        return shares
+    # Later rounds: freeze the capped tasks at their cap and share the
+    # remainder among the rest by weight, until none caps out or nothing
+    # remains (the rest then stay at 0.0).
+    rates = [0.0] * n
     remaining = capacity
-    active = list(range(n))
-    while active:
-        weight_sum = 0.0
-        for i in active:
-            weight_sum += weights[i]
-        capped = []
-        for i in active:
-            share = remaining * weights[i] / weight_sum
-            if share >= caps[i] - CAP_SLACK:
-                capped.append(i)
-        if not capped:
-            for i in active:
-                rates[i] = remaining * weights[i] / weight_sum
-            break
+    active = range(n)
+    while True:
         for i in capped:
             rates[i] = caps[i]
             remaining -= caps[i]
         capped_set = set(capped)
         active = [i for i in active if i not in capped_set]
-        if remaining <= 0:
+        if remaining <= 0 or not active:
+            return rates
+        weight_sum = 0.0
+        for i in active:
+            weight_sum += weights[i]
+        capped = [i for i in active if remaining * weights[i] / weight_sum >= caps[i] - CAP_SLACK]
+        if not capped:
             for i in active:
-                rates[i] = 0.0
-            break
-    return rates
+                rates[i] = remaining * weights[i] / weight_sum
+            return rates

@@ -9,6 +9,8 @@ import json
 import multiprocessing
 import os
 import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -542,16 +544,15 @@ class TestClaimProtocol:
         assert read_lease(_lease_path(tmp_path, self.FP)) is None
 
     def test_resumed_heartbeat_stops_after_lease_stolen(self, tmp_path):
-        from repro.experiments.queue import _LeaseHeartbeat
-
         assert try_claim(tmp_path, self.FP, owner="stalled", ttl=0.2)
-        heartbeat = _LeaseHeartbeat(tmp_path, self.FP, "stalled", ttl=0.2)
-        heartbeat.start()
+        heartbeat = queue._process_heartbeat()
+        heartbeat.hold((tmp_path, self.FP, "stalled", 0.2))
         try:
             # A stealer re-claims while the stalled owner's heartbeat is
-            # still running; the heartbeat must notice and die rather than
-            # overwrite the new lease forever.  (A non-atomic read/write
-            # pair can clobber one write, so keep re-asserting the theft.)
+            # still running; the heartbeat must notice and stop asserting
+            # the lease rather than overwrite the new one forever.  (A
+            # non-atomic read/write pair can clobber one write, so keep
+            # re-asserting the theft.)
             path = _lease_path(tmp_path, self.FP)
             now = time.time()
             thief = Lease(
@@ -564,20 +565,20 @@ class TestClaimProtocol:
                 ttl=3600.0,
             )
             deadline = time.monotonic() + 10.0
-            while heartbeat.is_alive() and time.monotonic() < deadline:
+            while heartbeat.lease is not None and time.monotonic() < deadline:
                 path.write_text(thief.to_json(), encoding="utf-8")
                 time.sleep(0.05)
-            assert not heartbeat.is_alive()
+            assert heartbeat.lease is None
             assert read_lease(path).owner == "thief"
+            # The process's one heartbeat thread lives on for its next lease.
+            assert heartbeat.is_alive()
         finally:
-            heartbeat.stop()
+            heartbeat.hold(None)
 
     def test_heartbeat_keeps_long_cell_claims_fresh(self, tmp_path):
-        from repro.experiments.queue import _LeaseHeartbeat
-
         assert try_claim(tmp_path, self.FP, owner="slow", ttl=0.4)
-        heartbeat = _LeaseHeartbeat(tmp_path, self.FP, "slow", ttl=0.4)
-        heartbeat.start()
+        heartbeat = queue._process_heartbeat()
+        heartbeat.hold((tmp_path, self.FP, "slow", 0.4))
         try:
             time.sleep(1.2)  # three TTLs: without heartbeats this is stale
             lease = read_lease(_lease_path(tmp_path, self.FP))
@@ -585,7 +586,36 @@ class TestClaimProtocol:
             assert not lease_is_stale(lease)
             assert not try_claim(tmp_path, self.FP, owner="thief", ttl=0.4)
         finally:
-            heartbeat.stop()
+            heartbeat.hold(None)
+
+    def test_released_lease_stays_released(self, tmp_path):
+        # Leases dropped about when their heartbeat is due: once hold(None)
+        # returns, no refresh may rewrite the lease its owner then releases.
+        heartbeat = queue._process_heartbeat()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for k in range(30):
+                fingerprint = f"{k:02x}" + "0" * 62
+                assert try_claim(tmp_path, fingerprint, owner="w", ttl=0.2)
+                heartbeat.hold((tmp_path, fingerprint, "w", 0.2))
+                time.sleep(0.04 + 0.001 * (k % 20))  # the refresh is due at 0.05 s
+                heartbeat.hold(None)
+                release_lease(tmp_path, fingerprint, owner="w")
+            time.sleep(0.1)
+            assert not list((tmp_path / CLAIMS_DIR).glob("*.lease"))
+        finally:
+            sys.setswitchinterval(switch)
+            heartbeat.hold(None)
+
+    def test_one_heartbeat_thread_serves_every_cell(self, tmp_path):
+        for seed in (1, 2, 3):
+            enqueue_config(tmp_path, _config(seed=seed))
+        assert run_worker(tmp_path).computed == 3
+        names = [thread.name for thread in threading.enumerate()]
+        assert names.count("lease-heartbeat") == 1
+        assert queue._process_heartbeat().lease is None
+        assert not list((tmp_path / CLAIMS_DIR).glob("*.lease"))
 
     def test_sigkilled_workers_cell_is_stolen_and_sweep_completes(self, tmp_path):
         config = _config()

@@ -218,6 +218,40 @@ hard_floats = st.floats(
 )
 
 
+#: Mixed magnitudes: signed zeros, subnormals, and values from 1e-300 to
+#: 1e300, whose sums of at most a few hundred terms stay finite.
+mixed_floats = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e300, -1e300]),
+    st.integers(-60, 60).map(lambda e: 1.5 * 2.0**e),
+)
+
+
+def _fast_two_sum_add(partials, x):
+    """The partials update ``ExactSum.add`` made with a magnitude swap and
+    Fast-TwoSum, kept as the reference for its TwoSum form."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+def _fsum_outcome(partials):
+    """``math.fsum`` of *partials* as text, or the error it raises."""
+    try:
+        return repr(math.fsum(partials))
+    except (OverflowError, ValueError) as error:
+        return type(error).__name__
+
+
 class TestExactSum:
     @given(data=st.lists(hard_floats, min_size=1, max_size=200))
     @settings(max_examples=60, deadline=None)
@@ -258,3 +292,29 @@ class TestExactSum:
         for x in (1e16, 1.0, -1e16, 2.0**-40):
             acc.add(x)
         assert ExactSum.from_list(acc.to_list()).value == acc.value
+
+    @given(data=st.lists(mixed_floats, min_size=1, max_size=120))
+    @settings(max_examples=200, deadline=None)
+    def test_partials_match_fast_two_sum(self, data):
+        # TwoSum and swap-then-Fast-TwoSum give the same exact error
+        # terms, so every partial is the same double.
+        acc, reference = ExactSum(), []
+        for x in data:
+            acc.add(x)
+            _fast_two_sum_add(reference, x)
+        assert [p.hex() for p in acc.to_list()] == [p.hex() for p in reference]
+
+    @given(
+        data=st.lists(
+            st.one_of(mixed_floats, st.sampled_from([math.inf, -math.inf, math.nan])),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_non_finite_values_match_fast_two_sum(self, data):
+        acc, reference = ExactSum(), []
+        for x in data:
+            acc.add(x)
+            _fast_two_sum_add(reference, x)
+        assert _fsum_outcome(acc.to_list()) == _fsum_outcome(reference)
