@@ -17,18 +17,15 @@ under the same burst.  See ``examples``/benchmarks ``ablations`` usage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, List, Optional
 
-from repro.node.baseline import BaselineInvoker
-from repro.node.invoker import Invoker
 from repro.workload.functions import sebs_catalog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.node.invoker import _Node
     from repro.sim.core import Environment
 
 __all__ = ["AutoscalerConfig", "ReactiveAutoscaler"]
-
-AnyInvoker = Union[Invoker, BaselineInvoker]
 
 
 @dataclass(frozen=True)
@@ -85,10 +82,10 @@ class ReactiveAutoscaler:
     def __init__(
         self,
         env: "Environment",
-        invokers: List[AnyInvoker],
+        invokers: List["_Node"],
         config: Optional[AutoscalerConfig] = None,
         *,
-        factory: Callable[[int], AnyInvoker],
+        factory: Callable[[int], "_Node"],
     ) -> None:
         self.env = env
         self.invokers = invokers

@@ -42,13 +42,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.failures.spec import FailureSpec
     from repro.sim.core import Environment
     from repro.metrics.streaming import MetricsAccumulator
-    from repro.node.baseline import BaselineInvoker
-    from repro.node.invoker import Invoker, NodeCallInfo
+    from repro.node.invoker import NodeCallInfo, _Node
     from repro.workload.generator import BurstScenario, Request, RequestStream
 
 __all__ = ["FaaSPlatform"]
 
-AnyInvoker = Union["Invoker", "BaselineInvoker"]
 AnyWorkload = Union["BurstScenario", "RequestStream"]
 
 
@@ -62,7 +60,7 @@ class FaaSPlatform:
     def __init__(
         self,
         env: "Environment",
-        invokers: Sequence[AnyInvoker],
+        invokers: Sequence["_Node"],
         balancer: Optional[LoadBalancer] = None,
         network: Optional[NetworkModel] = None,
         failures: Optional["FailureSpec"] = None,

@@ -12,7 +12,7 @@ the config, which is what lets the parallel engine cache and shard it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cluster.autoscaler import ReactiveAutoscaler
 from repro.cluster.controller import make_balancer
@@ -25,7 +25,7 @@ from repro.metrics.stats import SummaryStats, summarize
 from repro.metrics.streaming import StreamingSummary, SummaryAccumulator
 from repro.node.baseline import BaselineInvoker
 from repro.node.config import NodeConfig
-from repro.node.invoker import Invoker
+from repro.node.invoker import Invoker, _Node
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
 from repro.workload.functions import sebs_catalog
@@ -167,9 +167,7 @@ class ExperimentResult:
         return cluster_breakdown(self)
 
 
-def _node_stats(
-    invoker: Union[Invoker, BaselineInvoker], include_failures: bool = False
-) -> Dict[str, float]:
+def _node_stats(invoker: _Node, include_failures: bool = False) -> Dict[str, float]:
     stats = {
         "name": invoker.name,
         "is_baseline": invoker.is_baseline,
@@ -195,7 +193,7 @@ def _node_stats(
 
 def _build_invoker(
     env: Environment, config: ExperimentConfig, name: str, node_config: NodeConfig
-) -> Union[Invoker, BaselineInvoker]:
+) -> _Node:
     if config.is_baseline:
         return BaselineInvoker(env, node_config, name=name)
     return Invoker(

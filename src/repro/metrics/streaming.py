@@ -45,6 +45,7 @@ and the historical exact percentiles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple, runtime_checkable
 
@@ -71,12 +72,19 @@ class ExactSum:
     nearest double.  The partial list stays tiny in practice (its length
     is bounded by the exponent range, ~40 for well-scaled data), so the
     accumulator is effectively constant-size.
+
+    A sum that leaves the finite doubles ends as ``math.fsum`` of the same
+    terms ends: :attr:`value` raises :class:`OverflowError` once finite
+    terms overflow, and otherwise sums the infinite and nan terms apart
+    (``inf``, ``-inf``, ``nan``, or :class:`ValueError` for ``inf + -inf``).
     """
 
-    __slots__ = ("_partials",)
+    __slots__ = ("_partials", "_special")
 
     def __init__(self, partials: Optional[Iterable[float]] = None) -> None:
         self._partials: List[float] = []
+        #: The infinite and nan terms, one of each kind.
+        self._special: List[float] = []
         if partials:
             for x in partials:
                 self.add(float(x))
@@ -85,6 +93,7 @@ class ExactSum:
         """Fold *x* into the running sum, exactly (each rounding error by
         Knuth's TwoSum, which needs no comparison of magnitudes)."""
         partials = self._partials
+        term = x
         i = 0
         for y in partials:
             hi = x + y
@@ -94,12 +103,28 @@ class ExactSum:
                 partials[i] = lo
                 i += 1
             x = hi
-        partials[i:] = [x]
+        if x - x:  # inf or nan: the sum overflowed, or the term is not finite
+            self._set_aside(term)
+        else:
+            partials[i:] = [x]
+
+    def _set_aside(self, term: float) -> None:
+        """What ``math.fsum`` does when the running sum is not finite: a
+        finite *term* overflowed it (fsum raises), any other is summed
+        apart from the partials, which start afresh."""
+        self._partials.clear()
+        special = self._special
+        if term - term == 0.0:
+            # Two terms whose sum overflows: ``value`` raises as fsum does,
+            # also after a ``to_list`` round trip.
+            special[:] = [sys.float_info.max] * 2
+        elif repr(term) not in map(repr, special):  # as text: nan != nan
+            special.append(term)
 
     def merge(self, other: "ExactSum") -> None:
-        """Fold another exact sum in; the result is the exact sum of the
-        union, independent of merge order."""
-        for x in other._partials:
+        """Fold another exact sum in; for a finite sum the result is the
+        exact sum of the union, independent of merge order."""
+        for x in other.to_list():
             self.add(x)
 
     @property
@@ -109,20 +134,22 @@ class ExactSum:
         The partial decomposition depends on insertion order, but the
         exact real number it represents does not; ``math.fsum`` rounds
         that exact value correctly, so ``value`` is bit-identical across
-        any add/merge order.
+        any add/merge order.  The set-aside terms come first, so that
+        ``math.fsum`` ends on them as it ended on the terms themselves.
         """
-        return math.fsum(self._partials)
+        return math.fsum(self._special + self._partials)
 
     def to_list(self) -> List[float]:
-        """JSON-compatible state (exact: partials are plain doubles)."""
-        return list(self._partials)
+        """JSON-compatible state (exact: partials are plain doubles); the
+        set-aside terms, if any, come first."""
+        return self._special + self._partials
 
     @classmethod
     def from_list(cls, partials: Iterable[float]) -> "ExactSum":
         return cls(partials)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ExactSum({self.value!r})"
+        return f"ExactSum({self.to_list()!r})"
 
 
 #: Safety factor in the documented t-digest rank-error bound (the merging

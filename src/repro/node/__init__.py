@@ -13,8 +13,9 @@ on:
   :mod:`repro.node.pool` — container lifecycle (cold → warm → hot → paused
   → evicted), memory-pool accounting, and the warm/prewarm pools with LRU
   eviction;
-* :mod:`repro.node.invoker` — the paper's invoker: priority queue + at most
-  ``cores`` busy containers, each pinned to one core;
+* :mod:`repro.node.invoker` — the node lifecycle both invokers share, and
+  the paper's invoker: priority queue + at most ``cores`` busy
+  containers, each pinned to one core;
 * :mod:`repro.node.baseline` — the stock OpenWhisk invoker: FIFO with
   greedy container creation, memory-bounded concurrency and
   memory-proportional CPU shares (OS-level preemption).

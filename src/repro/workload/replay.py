@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -154,6 +154,39 @@ def _fnv1a(text: str) -> int:
     return value
 
 
+def _row_requests(
+    source: RowSource,
+    rng: np.random.Generator,
+    catalog: Sequence[FunctionSpec],
+    minute_s: float,
+    namespace_functions: bool,
+    max_minutes: Optional[int],
+) -> Iterator[Tuple[TraceRow, List[Request]]]:
+    """The row loop both builders share: each row before *max_minutes*,
+    in file order, with its requests (none for a zero count).  Rids count
+    up from 0, and each row draws its release times, then its service
+    times, from *rng*."""
+    specs: Dict[str, FunctionSpec] = {}
+    rid = 0
+    for row in iter_trace_rows(source):
+        if max_minutes is not None and row.minute >= max_minutes:
+            continue
+        requests: List[Request] = []
+        if row.count:
+            spec = specs.get(row.key)
+            if spec is None:
+                base = catalog[_fnv1a(row.key) % len(catalog)]
+                spec = replace(base, name=f"{row.key}#{base.name}") if namespace_functions else base
+                specs[row.key] = spec
+            start = row.minute * minute_s
+            arrivals = rng.uniform(start, start + minute_s, size=row.count)
+            services = spec.service_distribution.sample(rng, size=row.count)
+            for arrival, service in zip(arrivals, services):
+                requests.append(Request(rid, spec, float(arrival), float(service)))
+                rid += 1
+        yield row, requests
+
+
 def replay_scenario(
     source: RowSource,
     rng: np.random.Generator,
@@ -191,31 +224,12 @@ def replay_scenario(
     if minute_s <= 0:
         raise ValueError(f"minute_s must be positive, got {minute_s!r}")
     catalog = list(catalog) if catalog is not None else sebs_catalog()
-    specs: Dict[str, FunctionSpec] = {}
     requests: List[Request] = []
-    rid = 0
     last_minute = -1
-    for row in iter_trace_rows(source):
-        if max_minutes is not None and row.minute >= max_minutes:
-            continue
+    rows = _row_requests(source, rng, catalog, minute_s, namespace_functions, max_minutes)
+    for row, row_requests in rows:
         last_minute = max(last_minute, row.minute)
-        if row.count == 0:
-            continue
-        spec = specs.get(row.key)
-        if spec is None:
-            base = catalog[_fnv1a(row.key) % len(catalog)]
-            spec = (
-                replace(base, name=f"{row.key}#{base.name}")
-                if namespace_functions
-                else base
-            )
-            specs[row.key] = spec
-        start = row.minute * minute_s
-        arrivals = rng.uniform(start, start + minute_s, size=row.count)
-        services = spec.service_distribution.sample(rng, size=row.count)
-        for arrival, service in zip(arrivals, services):
-            requests.append(Request(rid, spec, float(arrival), float(service)))
-            rid += 1
+        requests += row_requests
     window = (last_minute + 1) * minute_s if last_minute >= 0 else minute_s
     return BurstScenario(requests=requests, window=window, label=label)
 
@@ -252,13 +266,10 @@ def replay_stream(
     catalog = list(catalog) if catalog is not None else sebs_catalog()
 
     def generate() -> Iterator[Request]:
-        specs: Dict[str, FunctionSpec] = {}
         bucket: List[Request] = []
         bucket_minute = -1
-        rid = 0
-        for row in iter_trace_rows(source):
-            if max_minutes is not None and row.minute >= max_minutes:
-                continue
+        rows = _row_requests(source, rng, catalog, minute_s, namespace_functions, max_minutes)
+        for row, requests in rows:
             if row.minute < bucket_minute:
                 raise ValueError(
                     f"streaming replay requires rows grouped by "
@@ -273,23 +284,7 @@ def replay_stream(
                 yield from bucket
                 bucket = []
                 bucket_minute = row.minute
-            if row.count == 0:
-                continue
-            spec = specs.get(row.key)
-            if spec is None:
-                base = catalog[_fnv1a(row.key) % len(catalog)]
-                spec = (
-                    replace(base, name=f"{row.key}#{base.name}")
-                    if namespace_functions
-                    else base
-                )
-                specs[row.key] = spec
-            start = row.minute * minute_s
-            arrivals = rng.uniform(start, start + minute_s, size=row.count)
-            services = spec.service_distribution.sample(rng, size=row.count)
-            for arrival, service in zip(arrivals, services):
-                bucket.append(Request(rid, spec, float(arrival), float(service)))
-                rid += 1
+            bucket += requests
         bucket.sort(key=lambda r: (r.release_time, r.rid))
         yield from bucket
 

@@ -7,14 +7,16 @@ estimated ``q``-quantile must sit between the exact quantiles at ranks
 plus merge behaviour and the degenerate empty/single-element edges.
 
 ``ExactSum`` carries the stronger contract — bit-identical values across
-any add/merge order — checked here over random float streams.
+any add/merge order — checked here over random float streams, and a sum
+that leaves the finite doubles must end as ``math.fsum`` of its terms.
 """
 
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.streaming import ExactSum, TDigest
@@ -244,12 +246,33 @@ def _fast_two_sum_add(partials, x):
     partials[i:] = [x]
 
 
-def _fsum_outcome(partials):
-    """``math.fsum`` of *partials* as text, or the error it raises."""
+def _outcome(total):
+    """``total()`` as text, or the type of the error it raises."""
     try:
-        return repr(math.fsum(partials))
+        return repr(total())
     except (OverflowError, ValueError) as error:
         return type(error).__name__
+
+
+def _ends_as_fsum(terms):
+    """Add *terms* one by one; the sum, its ``to_list`` round trip and a
+    merge of it must each end as ``math.fsum(terms)`` does."""
+    acc = ExactSum()
+    for x in terms:
+        acc.add(x)
+    merged = ExactSum()
+    merged.merge(acc)
+    expected = _outcome(lambda: math.fsum(terms))
+    assert _outcome(lambda: acc.value) == expected
+    assert _outcome(lambda: ExactSum.from_list(acc.to_list()).value) == expected
+    assert _outcome(lambda: merged.value) == expected
+
+
+#: Finite terms up to the largest double, so that some sums overflow.
+huge_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.5e308, -1.5e308, sys.float_info.max, -sys.float_info.max]),
+)
 
 
 class TestExactSum:
@@ -312,9 +335,38 @@ class TestExactSum:
         )
     )
     @settings(max_examples=200, deadline=None)
-    def test_non_finite_values_match_fast_two_sum(self, data):
-        acc, reference = ExactSum(), []
-        for x in data:
-            acc.add(x)
-            _fast_two_sum_add(reference, x)
-        assert _fsum_outcome(acc.to_list()) == _fsum_outcome(reference)
+    def test_non_finite_terms_end_as_fsum(self, data):
+        _ends_as_fsum(data)
+
+    @given(data=st.lists(huge_floats, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_terms_end_as_fsum(self, data):
+        _ends_as_fsum(data)
+
+    @pytest.mark.parametrize(
+        "terms, expected",
+        [
+            ([1.5e308, 1.5e308], "OverflowError"),
+            ([-1.5e308, -1.5e308], "OverflowError"),
+            # fsum raises at the overflowing term, though the total fits.
+            ([1e308, 1e308, -1e308], "OverflowError"),
+            ([1.0, math.inf], "inf"),
+            ([math.inf, 1.0], "inf"),
+            ([-math.inf, 2.0, 3.0], "-inf"),
+            ([math.inf, math.inf], "inf"),
+            ([math.inf, -math.inf], "ValueError"),
+            ([1.0, -math.inf, 2.0, math.inf], "ValueError"),
+            ([math.nan, 1.0], "nan"),
+            ([1.0, math.nan, math.inf], "nan"),
+            ([math.inf, math.nan, -math.inf], "ValueError"),
+            # fsum starts its partials afresh after an infinite term...
+            ([1e308, math.inf, 1e308], "inf"),
+            # ...but an overflow among finite terms still raises.
+            ([math.inf, 1e308, 1e308], "OverflowError"),
+            ([1e308, 1e308, math.inf], "OverflowError"),
+            ([1e308, 1e308, math.inf, -math.inf], "OverflowError"),
+        ],
+    )
+    def test_non_finite_sum_table(self, terms, expected):
+        assert _outcome(lambda: math.fsum(terms)) == expected
+        _ends_as_fsum(terms)
