@@ -37,10 +37,14 @@ class NetworkModel:
 
     def request_delay(self) -> float:
         """Latency of the client → invoker leg."""
+        if self.jitter_s == 0.0:
+            return self.request_latency_s
         return self._with_jitter(self.request_latency_s)
 
     def response_delay(self) -> float:
         """Latency of the invoker → client leg."""
+        if self.jitter_s == 0.0:
+            return self.response_latency_s
         return self._with_jitter(self.response_latency_s)
 
     @property

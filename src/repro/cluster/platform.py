@@ -30,6 +30,7 @@ into constant-size state the moment its response reaches the client.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.cluster.controller import LoadBalancer, LeastLoadedBalancer
@@ -127,7 +128,7 @@ class FaaSPlatform:
         # long-lived control loops (e.g. an autoscaler) keep the calendar
         # populated forever.
         self.env.run(until=self.env.now + self.DRAIN_GRACE_S)
-        self.records.sort(key=lambda r: r.rid)
+        self.records.sort(key=attrgetter("rid"))
         return self.records
 
     # -- the arrival injector ---------------------------------------------

@@ -458,19 +458,25 @@ class SummaryAccumulator:
     # ------------------------------------------------------------------
     def add(self, record: CallRecord) -> None:
         """Fold one completed call in."""
-        response = record.response_time
-        stretch = record.stretch
+        # ``record.response_time`` and ``record.stretch``, spelled out: no
+        # property call per record.
+        completed = record.completed_at
+        response = completed - record.release_time
+        stretch = response / record.reference_response_time
         self.n_calls += 1
         if record.cold_start:
             self.cold_starts += 1
         # Same accounting as repro.metrics.stats.summarize, so retained
-        # and streaming runs report identical failure counters.
-        self.retries += record.attempts - 1
-        if record.outcome == "gave-up":
-            self.gave_up += 1
-        self.failed_calls += (record.attempts - 1) + (1 if record.outcome != "ok" else 0)
-        if record.completed_at > self.max_completion_time:
-            self.max_completion_time = record.completed_at
+        # and streaming runs report identical failure counters; every
+        # increment is zero for a first-attempt ``ok`` record.
+        attempts, outcome = record.attempts, record.outcome
+        if attempts != 1 or outcome != "ok":
+            self.retries += attempts - 1
+            if outcome == "gave-up":
+                self.gave_up += 1
+            self.failed_calls += (attempts - 1) + (1 if outcome != "ok" else 0)
+        if completed > self.max_completion_time:
+            self.max_completion_time = completed
         self.response_sum.add(response)
         self.response_sumsq.add(response * response)
         self.stretch_sum.add(stretch)

@@ -45,6 +45,7 @@ class DockerDaemon:
     The daemon is one busy flag and a heap of ``(priority, arrival,
     op)`` for the operations waiting behind the one in service; the
     daemon grants an operation its slot with a zero-delay calendar entry
+    (in the calendar's lane, :meth:`~repro.sim.core.Environment.call_soon`)
     that calls the operation's :meth:`_Op.serve`.
     """
 
@@ -101,7 +102,7 @@ class DockerDaemon:
             heappush(self._waiting, (priority, next(self._arrivals), op))
         else:
             self._busy = True
-            env.call_later(0.0, op.serve)
+            env.call_soon(op.serve)
 
     def utilization(self) -> float:
         """Fraction of elapsed time the daemon has been busy."""
@@ -135,7 +136,7 @@ class _Op:
         """Hand the daemon on, count the operation, and continue."""
         daemon = self.daemon
         if daemon._waiting:
-            daemon.env.call_later(0.0, heappop(daemon._waiting)[2].serve)
+            daemon.env.call_soon(heappop(daemon._waiting)[2].serve)
         else:
             daemon._busy = False
         daemon.op_counts[self.kind] += 1

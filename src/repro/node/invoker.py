@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Invoker", "NodeCallInfo"]
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeCallInfo:
     """Node-level timeline of one executed call."""
 
@@ -57,7 +57,6 @@ class NodeCallInfo:
     finished_at: float = 0.0
     #: Placement kind: hot / paused / prewarm / cold.
     start_kind: str = ""
-    queue_length_at_receipt: int = 0
     #: Attempt disposition: ``"ok"``, or a failure kind
     #: (``"node-crash"`` / ``"container-kill"`` — see docs/FAILURES.md).
     outcome: str = "ok"
@@ -136,12 +135,7 @@ class _Node:
         :class:`NodeCallInfo` when the response leaves the node, and that
         info."""
         self.submitted += 1
-        info = NodeCallInfo(
-            request=request,
-            invoker=self.name,
-            received_at=self.env.now,
-            queue_length_at_receipt=len(self.queue),
-        )
+        info = NodeCallInfo(request=request, invoker=self.name, received_at=self.env.now)
         return Event(self.env), info
 
     def crash(self) -> None:
@@ -368,10 +362,12 @@ class Invoker(_Node):
         policy_params: "Mapping[str, Any] | None" = None,
     ) -> None:
         super().__init__(env, config, name)
+        #: Busy-container cap (``busy_limit or cores``), read per dispatch.
+        self._busy_limit = config.effective_busy_limit
         # At most ``cores`` busy containers means one core per call: the
         # dedicated bank.  The busy-limit ablation oversubscribes, so it
         # needs processor sharing and the overhead model.
-        if config.effective_busy_limit <= config.cores:
+        if self._busy_limit <= config.cores:
             self.cpu = DedicatedCPU(env, config.cores)
         else:
             self.cpu = SharedCPU(
@@ -436,8 +432,11 @@ class Invoker(_Node):
         if not self.live:
             return
         queue = self.queue
-        limit = self.config.effective_busy_limit
-        while self._busy < limit and queue:
+        # The queue's heap is tested directly: ``queue.__bool__`` would
+        # add a call per dispatch attempt.
+        heap = queue._heap
+        limit = self._busy_limit
+        while self._busy < limit and heap:
             priority, (request, info, done, fault) = queue.pop()
             self._launch(_Attempt(self, request, info, done, fault, priority, 1.0), self._arrange)
 

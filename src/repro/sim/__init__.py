@@ -11,7 +11,9 @@ autoscaler, Table I's sequential client).  It holds what the simulator
 runs:
 
 * :class:`~repro.sim.core.Environment` — the calendar and clock, whose
-  :meth:`~repro.sim.core.Environment.call_later` pushes a bare entry, and
+  :meth:`~repro.sim.core.Environment.call_later` pushes a bare entry and
+  :meth:`~repro.sim.core.Environment.call_soon` appends a zero-delay one
+  to the lane beside the heap, and
   :class:`~repro.sim.core.ReusableTimer` — a re-armable calendar callback;
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout` —
   one-shot events, whose entry runs their callback list;

@@ -8,7 +8,17 @@ which makes simulations fully deterministic for a fixed seed.
 :meth:`Environment.call_later` pushes such an entry after a delay, and the
 per-call path waits on nothing else: the client's legs, each attempt's
 steps, the docker daemon, the container pool's timers and the CPU banks'
-completions hold their callback in the entry itself.  A one-shot
+completions hold their callback in the entry itself.
+
+A zero-delay ``NORMAL`` entry (:meth:`Environment.call_soon`: an event's
+trigger, a CPU bank's completion, the daemon's slot grant) goes to a FIFO
+lane beside the heap instead.  Its key is the one ``call_later(0.0, ...)``
+would build, and the lane is sorted by construction: its entries carry the
+clock's time at their push, which never falls, one priority, and sequence
+numbers from the heap's counter, which rise in push order.
+:meth:`Environment.step` takes the lane's head when it is below the heap's
+top (the comparison ``heapq`` makes), so entries run in exactly the order,
+and with exactly the sequence numbers, of a single heap.  A one-shot
 :class:`~repro.sim.events.Event` is an entry whose function runs the
 event's callback list; it is left only where something waits on an
 outcome (an invoker's ``done`` handle, ``run(until=event)``, and the
@@ -16,11 +26,11 @@ coroutine processes of the cold path).
 
 Calendar entries are *cancellable*: :meth:`Environment.cancel_scheduled`
 turns an entry into a lazy tombstone (``fn`` set to ``None``) — it stays in
-the heap but is skipped (never processed) when it surfaces.  A live-entry
-counter drives loop termination, and the heap is compacted (tombstones
-filtered out, then re-heapified) once dead entries outnumber live ones,
-so a component that re-arms a timer on every state change cannot grow the
-calendar without bound.
+the heap or the lane but is skipped (never processed) when it surfaces.  A
+live-entry counter drives loop termination, and the calendar is compacted
+(tombstones filtered out of both, the heap re-heapified) once dead entries
+outnumber live ones, so a component that re-arms a timer on every state
+change cannot grow the calendar without bound.
 
 :class:`ReusableTimer` packages the common re-arming pattern: one object
 whose ``arm``/``cancel`` cycle tombstones the superseded entry instead of
@@ -29,9 +39,10 @@ letting it fire inertly (see :class:`repro.sim.cpu.SharedCPU`).
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Deque, Generator, List, Optional
 
 __all__ = [
     "Environment",
@@ -92,22 +103,21 @@ class Environment:
     'done'
     """
 
-    __slots__ = ("_now", "_queue", "_live", "_next_eid")
+    __slots__ = ("now", "_queue", "_lane", "_live", "_next_eid")
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now: float = float(initial_time)
+        #: Current simulation time (seconds).  Set by :meth:`step` and
+        #: :meth:`run`; read it, never assign it.
+        self.now: float = float(initial_time)
         self._queue: List[Entry] = []
+        #: Zero-delay ``NORMAL`` entries, in push order (see :meth:`call_soon`).
+        self._lane: Deque[Entry] = deque()
         self._live: int = 0
         self._next_eid = count().__next__
 
     # ------------------------------------------------------------------
     # Clock & calendar
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time (seconds)."""
-        return self._now
-
     def call_later(
         self, delay: float, fn: Callable[[Any], None], arg: Any = None, priority: int = NORMAL
     ) -> Entry:
@@ -118,24 +128,34 @@ class Environment:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
-        entry: Entry = [self._now + delay, priority, self._next_eid(), fn, arg]
+        entry: Entry = [self.now + delay, priority, self._next_eid(), fn, arg]
         heappush(self._queue, entry)
         self._live += 1
         return entry
 
+    def call_soon(self, fn: Callable[[Any], None], arg: Any = None) -> Entry:
+        """``call_later(0.0, fn, arg)`` through the zero-delay lane: the
+        same entry and sequence number, appended in O(1) instead of pushed
+        on the heap.  Returns the entry, as :meth:`call_later` does."""
+        entry: Entry = [self.now, NORMAL, self._next_eid(), fn, arg]
+        self._lane.append(entry)
+        self._live += 1
+        return entry
+
     def cancel_scheduled(self, entry: Entry) -> bool:
-        """Tombstone a calendar *entry* returned by :meth:`call_later`.
+        """Tombstone a calendar *entry* returned by :meth:`call_later` or
+        :meth:`call_soon`.
 
         Its function will never be called.  Returns ``False`` if the entry
         already ran or was already cancelled.  O(1) amortised: the dead
-        entry is skipped when popped, and the heap is compacted once dead
-        entries outnumber live ones.
+        entry is skipped when popped, and the calendar is compacted once
+        dead entries outnumber live ones.
         """
         if entry[3] is None:
             return False
         entry[3] = None
         self._live -= 1
-        dead = len(self._queue) - self._live
+        dead = len(self._queue) + len(self._lane) - self._live
         if dead > _MIN_COMPACT and dead > self._live:
             self._compact()
         return True
@@ -144,39 +164,50 @@ class Environment:
         """Drop tombstones and restore the heap invariant (O(live))."""
         self._queue = [entry for entry in self._queue if entry[3] is not None]
         heapify(self._queue)
+        self._lane = deque(entry for entry in self._lane if entry[3] is not None)
 
     @property
     def scheduled_count(self) -> int:
-        """Number of live (non-cancelled) calendar entries."""
+        """Number of live (non-cancelled) calendar entries, heap and lane."""
         return self._live
 
     def peek(self) -> float:
         """Time of the next live event, or ``inf`` if the calendar is empty.
 
-        Tombstones surfacing at the top of the heap are pruned as a side
-        effect (they carry no information).
+        Tombstones that come first in the calendar's order are pruned as a
+        side effect (they carry no information), the same ones a single
+        heap would prune.
         """
-        queue = self._queue
-        while queue:
-            if queue[0][3] is not None:
-                return queue[0][0]
-            heappop(queue)
-        return float("inf")
+        queue, lane = self._queue, self._lane
+        while True:
+            if lane and (not queue or lane[0] < queue[0]):
+                if lane[0][3] is not None:
+                    return lane[0][0]
+                lane.popleft()
+            elif queue:
+                if queue[0][3] is not None:
+                    return queue[0][0]
+                heappop(queue)
+            else:
+                return float("inf")
 
     def step(self) -> None:
-        """Process the next live calendar entry.
+        """Process the next live calendar entry: the lane's head when it
+        comes before the heap's top, else the heap's top.
 
         Raises
         ------
         SimulationError
             If no live entries remain.
         """
-        queue = self._queue
+        queue, lane = self._queue, self._lane
         while True:
-            try:
+            if lane and (not queue or lane[0] < queue[0]):
+                entry = lane.popleft()
+            elif queue:
                 entry = heappop(queue)
-            except IndexError:
-                raise SimulationError("no scheduled events") from None
+            else:
+                raise SimulationError("no scheduled events")
             fn = entry[3]
             if fn is not None:
                 break
@@ -184,7 +215,7 @@ class Environment:
         # Neutralize the handle: a later cancel_scheduled() on this entry
         # must be a reported no-op, not a live-counter corruption.
         entry[3] = None
-        self._now = entry[0]
+        self.now = entry[0]
         fn(entry[4])
 
     def run(self, until: "float | Event | None" = None) -> Any:
@@ -209,23 +240,30 @@ class Environment:
             until.callbacks.append(_stop_simulation)
         else:
             stop_at = float(until)
-            if stop_at < self._now:
+            if stop_at < self.now:
                 raise SimulationError(
-                    f"until={stop_at!r} lies before the current time {self._now!r}"
+                    f"until={stop_at!r} lies before the current time {self.now!r}"
                 )
 
+        # One entry per ``step()`` call: tracers count calendar entries by
+        # wrapping the method, so bind it here rather than inlining it.
+        step = self.step
         try:
-            while self._live:
-                if stop_at is not None and self.peek() > stop_at:
-                    self._now = stop_at
-                    return None
-                self.step()
+            if stop_at is None:
+                while self._live:
+                    step()
+            else:
+                while self._live:
+                    if self.peek() > stop_at:
+                        self.now = stop_at
+                        return None
+                    step()
         except StopSimulation as stop:
             return stop.value
         if isinstance(until, Event) and not until.triggered:
             raise SimulationError("simulation ended before the awaited event triggered")
         if stop_at is not None:
-            self._now = stop_at
+            self.now = stop_at
         return None
 
     # ------------------------------------------------------------------
@@ -277,10 +315,16 @@ class ReusableTimer:
             raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
         env = self.env
         entry = self._entry
+        # Inlined ``env.cancel_scheduled`` and ``env.call_later``: the CPU
+        # bank re-arms on every membership change.
         if entry is not None and entry[3] is not None:
-            env.cancel_scheduled(entry)
-        # Inlined ``env.call_later``: the CPU bank re-arms on every change.
-        entry = self._entry = [env._now + delay, priority, env._next_eid(), _fire, self]
+            entry[3] = None
+            live = env._live - 1
+            env._live = live
+            dead = len(env._queue) + len(env._lane) - live
+            if dead > _MIN_COMPACT and dead > live:
+                env._compact()
+        entry = self._entry = [env.now + delay, priority, env._next_eid(), _fire, self]
         heappush(env._queue, entry)
         env._live += 1
 

@@ -33,7 +33,9 @@ minimum ``work / rate``.  The wake-up is a
 :class:`~repro.sim.core.ReusableTimer`: re-arming tombstones the superseded
 calendar entry instead of leaving a stale one to fire inertly.  A task
 submitted with ``then`` completes through a calendar entry that calls
-``then(task)``, pushed at the moment the task finishes.
+``then(task)``, put in the calendar's zero-delay lane
+(:meth:`~repro.sim.core.Environment.call_soon`) at the moment the task
+finishes.
 
 :class:`DedicatedCPU` serves the paper's invoker, which never runs more
 than ``cores`` tasks and gives each exactly one core.  That is
@@ -200,7 +202,7 @@ class SharedCPU:
         then the finished tasks, water-fill, and arm or cancel the wake-up
         at the earliest projected completion."""
         env = self.env
-        now = env._now
+        now = env.now
         elapsed = now - self._last_update
         self._last_update = now
         tasks, works, rates = self._tasks, self._works, self._rates
@@ -219,7 +221,8 @@ class SharedCPU:
                 self.idle_core_seconds += idle * elapsed
         if task is not None:
             if task._work <= _EPS:
-                _complete(env, task)
+                if task.then is not None:
+                    env.call_soon(task.then, task)
             else:
                 task._bank = self
                 tasks.append(task)
@@ -235,7 +238,8 @@ class SharedCPU:
                 finished._work = 0.0
                 finished._rate = rates[i]
                 finished._bank = None
-                _complete(env, finished)
+                if finished.then is not None:
+                    env.call_soon(finished.then, finished)
             for i in reversed(done):
                 del tasks[i], works[i], rates[i], weights[i], caps[i]
         n = len(tasks)
@@ -349,7 +353,7 @@ class DedicatedCPU:
         the wake-up, as in :meth:`SharedCPU._step` with every rate 1.0
         (``1.0 * elapsed`` is exactly ``elapsed``)."""
         env = self.env
-        now = env._now
+        now = env.now
         elapsed = now - self._last_update
         self._last_update = now
         works, tasks = self._works, self._tasks
@@ -361,7 +365,8 @@ class DedicatedCPU:
             self.idle_core_seconds += (self.cores - n) * elapsed
         if task is not None:
             if work <= _EPS:
-                _complete(env, task)
+                if task.then is not None:
+                    env.call_soon(task.then, task)
             else:
                 works.append(work)
                 tasks.append(task)
@@ -374,7 +379,9 @@ class DedicatedCPU:
         if soonest <= _EPS:
             done = [i for i, w in enumerate(works) if w <= _EPS]
             for i in done:
-                _complete(env, tasks[i])
+                finished = tasks[i]
+                if finished.then is not None:
+                    env.call_soon(finished.then, finished)
             for i in reversed(done):
                 del works[i], tasks[i]
             if not works:
@@ -382,9 +389,3 @@ class DedicatedCPU:
                 return
             soonest = min(works)
         self._wake_timer.arm(soonest)
-
-
-def _complete(env: "Environment", task: "CpuTask | DedicatedTask") -> None:
-    """Call ``task.then(task)`` from a zero-delay calendar entry."""
-    if task.then is not None:
-        env.call_later(0.0, task.then, task)

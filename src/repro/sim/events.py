@@ -1,10 +1,12 @@
 """One-shot events and timeouts.
 
 An event is what something waits on: its callback list runs from one
-calendar entry, :func:`_process`.  The per-call path waits on plain
-calendar entries instead (:meth:`~repro.sim.core.Environment.call_later`);
-events are left for an invoker's ``done`` handle, ``run(until=event)`` and
-the coroutine processes of the cold path.
+calendar entry, :func:`_process`, which a trigger puts in the calendar's
+zero-delay lane (:meth:`~repro.sim.core.Environment.call_soon`).  The
+per-call path waits on plain calendar entries instead
+(:meth:`~repro.sim.core.Environment.call_later`); events are left for an
+invoker's ``done`` handle, ``run(until=event)`` and the coroutine
+processes of the cold path.
 """
 
 from __future__ import annotations
@@ -31,9 +33,12 @@ class Event:
     callbacks:
         List of callables invoked with the event when it is processed;
         ``None`` once processed.
+    triggered:
+        True once :meth:`succeed` or :meth:`fail` has been called (a
+        :class:`Timeout` is triggered from its creation).
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "defused")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "defused", "triggered")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -42,13 +47,9 @@ class Event:
         self._ok: Optional[bool] = None
         #: True if a failure has been marked as handled (will not crash the run).
         self.defused = False
+        self.triggered = False
 
     # -- state ----------------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        """True once :meth:`succeed` or :meth:`fail` has been called."""
-        return self._value is not PENDING
-
     @property
     def processed(self) -> bool:
         """True once the event's callbacks have been run."""
@@ -69,22 +70,24 @@ class Event:
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with *value* and schedule it."""
-        if self._value is not PENDING:
+        if self.triggered:
             raise RuntimeError(f"{self!r} has already been triggered")
+        self.triggered = True
         self._ok = True
         self._value = value
-        self.env.call_later(0.0, _process, self)
+        self.env.call_soon(_process, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception and schedule it."""
-        if self._value is not PENDING:
+        if self.triggered:
             raise RuntimeError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
+        self.triggered = True
         self._ok = False
         self._value = exception
-        self.env.call_later(0.0, _process, self)
+        self.env.call_soon(_process, self)
         return self
 
     def __repr__(self) -> str:
@@ -103,6 +106,7 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self.defused = False
+        self.triggered = True
         env.call_later(float(delay), _process, self)
 
 

@@ -57,6 +57,7 @@ class Process(Event):
                     self.succeed(stop.value)
                 else:
                     # Nothing waits: an end event would run no callback.
+                    self.triggered = True
                     self._ok = True
                     self._value = stop.value
                     self.callbacks = None
@@ -80,6 +81,7 @@ class Process(Event):
             # Slow path: feed a descriptive error back into the generator so
             # user code sees a meaningful traceback at the faulty ``yield``.
             event = Event(env)
+            event.triggered = True
             event._ok = False
             if not isinstance(next_target, Event):
                 event._value = TypeError(f"process may only yield events, got {next_target!r}")

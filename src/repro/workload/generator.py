@@ -9,6 +9,7 @@ no further requests arrive and the system drains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -160,7 +161,7 @@ class BurstScenario:
     label: str = ""
 
     def __post_init__(self) -> None:
-        self.requests = sorted(self.requests, key=lambda r: (r.release_time, r.rid))
+        self.requests = sorted(self.requests, key=attrgetter("release_time", "rid"))
 
     def __len__(self) -> int:
         return len(self.requests)

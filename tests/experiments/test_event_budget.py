@@ -21,7 +21,14 @@ The same patched ``step`` tracks the peak of
 timeout armed at a time, so the calendar holds what is in flight, not
 the whole workload, whether records are retained or streamed
 (docs/PERFORMANCE.md, "One client path").
+
+Beside the events, the Python frames entered per call (``sys.setprofile``
+``"call"`` events) pin the interpreter work of the same cells: a property,
+wrapper or helper call brought back between a calendar step and its data
+fails here (docs/PERFORMANCE.md, "Fewer frames per call").
 """
+
+import sys
 
 import pytest
 
@@ -83,3 +90,39 @@ def test_per_call_event_budget(policy, monkeypatch):
         assert counts["process"] / calls <= max_processes, mode
         assert counts["allocated"] / calls <= MAX_EVENT_ALLOCATIONS, mode
         assert counts["peak"] <= MAX_SCHEDULED, mode
+
+
+#: policy -> Python frames entered per call on the same cells, either
+#: mode: 102.3 (FC) and 128.2 (baseline).
+FRAME_BUDGETS = {"FC": 106, "baseline": 135}
+
+#: Comprehension frames, left out of the count: Python 3.12 inlines them
+#: (PEP 709), so with them left out one bound holds on every version.
+INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
+
+
+@pytest.mark.parametrize("policy", sorted(FRAME_BUDGETS))
+def test_per_call_frame_budget(policy):
+    frames = 0
+
+    def profile(frame, event, _arg):
+        nonlocal frames
+        if event == "call" and frame.f_code.co_name not in INLINED:
+            frames += 1
+
+    # A first run imports what the cell loads lazily; those frames are
+    # not the cell's.
+    run_experiment(ExperimentConfig(cores=10, intensity=60, policy=policy, seed=1))
+    for retain in (True, False):
+        config = ExperimentConfig(
+            cores=10, intensity=60, policy=policy, seed=1, retain_records=retain
+        )
+        frames = 0
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            result = run_experiment(config)
+        finally:
+            sys.setprofile(previous)
+        mode = "retained" if retain else "streaming"
+        assert frames / result.accumulator.n_calls <= FRAME_BUDGETS[policy], mode

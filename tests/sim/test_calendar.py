@@ -5,10 +5,17 @@ wake-up scheme: a superseded wake-up must *never* fire, the heap must not
 grow without bound under re-arming churn, and cancellation must be
 invisible to live entries' ordering.  The per-call path waits on bare
 entries (``Environment.call_later``), which must order exactly like the
-event entries they replaced.
+event entries they replaced, and zero-delay entries wait in a lane beside
+the heap (``Environment.call_soon``), which must order exactly like a
+single heap.
 """
 
+from heapq import heapify, heappop, heappush
+from itertools import count
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment, SimulationError
 from repro.sim.core import _MIN_COMPACT, NORMAL, URGENT
@@ -173,6 +180,195 @@ class TestBareEntries:
         assert env.scheduled_count == 1
         env.run()
         assert fired == ["later"]
+
+
+class OneHeap:
+    """The calendar without its lane: every entry on one heap, with
+    ``call_soon(fn, arg)`` meaning ``call_later(0.0, fn, arg)``, and the
+    same tombstones, pruning and compaction rule as
+    :class:`~repro.sim.core.Environment`."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.heap = []
+        self.live = 0
+        self._next_eid = count().__next__
+
+    @property
+    def scheduled_count(self):
+        return self.live
+
+    def call_later(self, delay, fn, arg=None, priority=NORMAL):
+        entry = [self.now + delay, priority, self._next_eid(), fn, arg]
+        heappush(self.heap, entry)
+        self.live += 1
+        return entry
+
+    def call_soon(self, fn, arg=None):
+        return self.call_later(0.0, fn, arg)
+
+    def cancel_scheduled(self, entry):
+        if entry[3] is None:
+            return False
+        entry[3] = None
+        self.live -= 1
+        dead = len(self.heap) - self.live
+        if dead > _MIN_COMPACT and dead > self.live:
+            self.heap = [e for e in self.heap if e[3] is not None]
+            heapify(self.heap)
+        return True
+
+    def peek(self):
+        while self.heap:
+            if self.heap[0][3] is not None:
+                return self.heap[0][0]
+            heappop(self.heap)
+        return float("inf")
+
+    def step(self):
+        while True:
+            entry = heappop(self.heap)
+            fn = entry[3]
+            if fn is not None:
+                break
+        self.live -= 1
+        entry[3] = None
+        self.now = entry[0]
+        fn(entry[4])
+
+    def run(self, until):
+        while self.live:
+            if self.peek() > until:
+                break
+            self.step()
+        self.now = until
+
+
+def _stored(calendar):
+    """Entries a calendar holds, live or tombstoned."""
+    if isinstance(calendar, OneHeap):
+        return len(calendar.heap)
+    return len(calendar._queue) + len(calendar._lane)
+
+
+#: Delays that tie often (0.0 most of all), plus arbitrary ones.
+DELAYS = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0]) | st.floats(0.0, 2.0)
+
+
+def _ops(depth):
+    """A calendar operation, and what a pushed entry does when it runs."""
+    children = st.lists(_ops(depth - 1), max_size=3) if depth else st.just([])
+    return st.one_of(
+        st.tuples(st.just("later"), DELAYS, st.sampled_from([NORMAL, URGENT]), children),
+        st.tuples(st.just("soon"), st.just(0.0), st.just(NORMAL), children),
+        st.tuples(st.just("cancel"), st.integers(0, 200), st.just(0), st.just([])),
+        # Push entries and cancel them at once: tombstones for compaction.
+        st.tuples(st.just("churn"), st.integers(1, 90), st.booleans(), st.just([])),
+    )
+
+
+PROGRAMS = st.lists(
+    _ops(2) | st.tuples(st.just("step")) | st.tuples(st.just("until"), DELAYS),
+    max_size=40,
+)
+
+
+def _execute(calendar, program):
+    """Run *program* on *calendar*; returns what must not depend on the
+    lane: the ``(time, label, scheduled_count)`` of every processed entry,
+    the ``(scheduled_count, stored entries)`` after every operation, and
+    the next sequence number."""
+    handles, trace, states = [], [], []
+
+    def push(kind, delay, priority, children):
+        label = len(handles)
+
+        def fire(_arg):
+            trace.append((calendar.now, label, calendar.scheduled_count))
+            for child in children:
+                apply(child)
+
+        if kind == "soon":
+            handles.append(calendar.call_soon(fire))
+        else:
+            handles.append(calendar.call_later(delay, fire, None, priority))
+
+    def cancel(entry):
+        calendar.cancel_scheduled(entry)
+        # Compaction keeps tombstones from outnumbering live entries.
+        dead = _stored(calendar) - calendar.scheduled_count
+        assert dead <= _MIN_COMPACT or dead <= calendar.scheduled_count
+
+    def apply(op):
+        kind, a, b, children = op
+        if kind in ("later", "soon"):
+            push(kind, a, b, children)
+        elif kind == "cancel":
+            if handles:
+                cancel(handles[a % len(handles)])
+        else:  # churn: a entries, in the lane when b
+            for i in range(a):
+                push("soon" if b else "later", float(i % 3), NORMAL, [])
+                cancel(handles[-1])
+        states.append((calendar.scheduled_count, _stored(calendar)))
+
+    for op in program:
+        if op[0] == "step":
+            if calendar.scheduled_count:
+                calendar.step()
+        elif op[0] == "until":
+            calendar.run(until=calendar.now + op[1])
+        else:
+            apply(op)
+        states.append((calendar.scheduled_count, _stored(calendar)))
+    calendar.run(until=calendar.now + 100.0)
+    return trace, states, calendar._next_eid()
+
+
+class TestZeroDelayLane:
+    """``call_soon`` entries run in the order, and with the sequence
+    numbers, they would have on a single heap."""
+
+    @given(PROGRAMS)
+    @settings(max_examples=300, deadline=None)
+    def test_lane_keeps_the_single_heap_order(self, program):
+        reference = OneHeap()
+        expected = _execute(reference, program)
+        assert _execute(Environment(), program) == expected
+
+    def test_lane_entry_key_is_call_later_zero(self):
+        env = Environment()
+        env.call_later(1.5, _noop)
+        env.step()
+        soon = env.call_soon(_noop, "arg")
+        later = env.call_later(0.0, _noop, "arg")
+        assert soon == [1.5, NORMAL, 1, _noop, "arg"]
+        assert later[:2] == soon[:2] and later[2] == soon[2] + 1
+        assert env.scheduled_count == 2
+        assert list(env._lane) == [soon] and env._queue == [later]
+
+    def test_urgent_zero_delay_entry_runs_before_the_lane(self):
+        env = Environment()
+        order = []
+        env.call_soon(order.append, "lane")
+        env.call_later(0.0, order.append, "urgent", URGENT)
+        env.call_later(0.0, order.append, "heap")
+        env.run()
+        assert order == ["urgent", "lane", "heap"]
+
+    def test_cancelled_lane_entry_never_runs_and_is_compacted(self):
+        env = Environment()
+        fired = []
+        kept = env.call_soon(fired.append, "kept")
+        for _ in range(3 * _MIN_COMPACT):
+            assert env.cancel_scheduled(env.call_soon(fired.append, "dropped"))
+        assert env.scheduled_count == 1
+        assert len(env._lane) <= _MIN_COMPACT + 1
+        assert env.peek() == 0.0
+        env.run()
+        assert fired == ["kept"]
+        assert kept[3] is None
+        assert env.cancel_scheduled(kept) is False
 
 
 class TestReusableTimer:
