@@ -80,7 +80,7 @@ from repro.experiments.parallel import (
     verify_cache,
 )
 from repro.experiments.queue import run_worker
-from repro.experiments.registry import EXPERIMENTS, run_registered
+from repro.experiments.registry import EXPERIMENTS, grid_overrides, run_registered
 from repro.experiments.runner import run_experiment
 from repro.experiments.artifacts import table3_from_grid
 from repro.failures.spec import FailureSpec
@@ -182,9 +182,7 @@ def _add_scenario_arguments(
 _PYTHON_LITERALS = {"True": True, "False": False, "None": None}
 
 
-def _parse_kv_params(
-    pairs: Sequence[str], flag: str = "--scenario-param"
-) -> Tuple[Tuple[str, Any], ...]:
+def _parse_kv_params(pairs: Sequence[str], flag: str) -> Tuple[Tuple[str, Any], ...]:
     """``["k=v", ...]`` → ``(("k", parsed_v), ...)``; values JSON-decoded
     when possible (Python's True/False/None spellings accepted too) so
     numbers/bools/lists arrive typed."""
@@ -202,22 +200,6 @@ def _parse_kv_params(
                 value = raw
         params.append((key, value))
     return tuple(params)
-
-
-def _parse_scenario_params(pairs: Sequence[str]) -> Tuple[Tuple[str, Any], ...]:
-    return _parse_kv_params(pairs, "--scenario-param")
-
-
-def _parse_balancer_params(pairs: Sequence[str]) -> Tuple[Tuple[str, Any], ...]:
-    return _parse_kv_params(pairs, "--balancer-param")
-
-
-def _parse_policy_params(pairs: Sequence[str]) -> Tuple[Tuple[str, Any], ...]:
-    return _parse_kv_params(pairs, "--policy-param")
-
-
-def _parse_failure_params(pairs: Sequence[str]) -> Tuple[Tuple[str, Any], ...]:
-    return _parse_kv_params(pairs, "--failure-param")
 
 
 def _add_failure_argument(parser: argparse.ArgumentParser) -> None:
@@ -657,36 +639,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _grid_spec_from_args(args: argparse.Namespace) -> GridSpec:
-    spec = GridSpec() if args.full else GridSpec.quick()
-    overrides = {}
-    if args.cores:
-        overrides["cores"] = tuple(args.cores)
-    if args.intensities:
-        overrides["intensities"] = tuple(args.intensities)
-    if args.strategies:
-        overrides["strategies"] = tuple(args.strategies)
-    if args.seeds:
-        overrides["seeds"] = tuple(args.seeds)
-    if args.scenario:
-        overrides["scenario"] = args.scenario
-        overrides["scenario_params"] = _parse_scenario_params(args.scenario_param)
-    if args.nodes:
-        overrides["nodes"] = tuple(args.nodes)
-    if args.balancer:
-        overrides["balancers"] = tuple(args.balancer)
-    if args.balancer_param:
-        overrides["balancer_params"] = _parse_balancer_params(args.balancer_param)
-    if args.autoscale:
-        overrides["autoscale"] = True
-    if args.policy_param:
-        overrides["policy_params"] = _parse_policy_params(args.policy_param)
-    if args.failure_param:
-        overrides["failures"] = FailureSpec.from_params(
-            _parse_failure_params(args.failure_param)
-        )
+    """The grid slice and overrides the ``grid`` flags name."""
+    fields = grid_overrides(
+        scenario=args.scenario,
+        scenario_params=_parse_kv_params(args.scenario_param, "--scenario-param"),
+        nodes=args.nodes,
+        balancers=args.balancer,
+        balancer_params=_parse_kv_params(args.balancer_param, "--balancer-param"),
+        autoscale=args.autoscale,
+        policies=args.strategies,
+        policy_params=_parse_kv_params(args.policy_param, "--policy-param"),
+        failure_params=_parse_kv_params(args.failure_param, "--failure-param"),
+    )
+    grid_slice = {"cores": args.cores, "intensities": args.intensities, "seeds": args.seeds}
+    fields.update((name, tuple(values)) for name, values in grid_slice.items() if values)
     if not args.retain_records:
-        overrides["retain_records"] = False
-    return replace(spec, **overrides) if overrides else spec
+        fields["retain_records"] = False
+    return replace(GridSpec() if args.full else GridSpec.quick(), **fields)
+
+
+def _cluster_spec(args: argparse.Namespace) -> ClusterSpec:
+    """The one topology ``--nodes``/``--balancer``/``--balancer-param``/
+    ``--autoscale`` name for ``simulate`` and ``compare``."""
+    return ClusterSpec(
+        nodes=args.nodes if args.nodes is not None else 1,
+        balancer=args.balancer if args.balancer is not None else "least-loaded",
+        balancer_params=_parse_kv_params(args.balancer_param, "--balancer-param"),
+        autoscaler=() if args.autoscale else None,
+    )
 
 
 def _render_catalog(registry: Registry, note: str = "") -> str:
@@ -889,20 +869,13 @@ def _run_compare(args: argparse.Namespace) -> int:
         # a parameter neither policy declares), exactly like 'grid'.
         policy_params = GridSpec(
             strategies=(args.policy_a, args.policy_b),
-            policy_params=_parse_policy_params(args.policy_param),
+            policy_params=_parse_kv_params(args.policy_param, "--policy-param"),
         ).policy_params_by_strategy()
-        cluster = ClusterSpec(
-            nodes=args.nodes if args.nodes is not None else 1,
-            balancer=args.balancer if args.balancer is not None else "least-loaded",
-            balancer_params=_parse_balancer_params(args.balancer_param),
-            autoscaler=() if args.autoscale else None,
-        )
+        cluster = _cluster_spec(args)
         # Both policies run under one failure regime — the comparison is
         # between schedulers, the injected faults are part of the
         # environment (and of every cell's cache fingerprint).
-        failures = FailureSpec.from_params(
-            _parse_failure_params(args.failure_param)
-        )
+        failures = FailureSpec.from_params(_parse_kv_params(args.failure_param, "--failure-param"))
         metrics = args.metrics
         if metrics is None and not failures.is_none:
             # Under injected failures the retry/abandonment behaviour is
@@ -916,7 +889,7 @@ def _run_compare(args: argparse.Namespace) -> int:
                 intensity=args.intensity,
                 policy=policy,
                 scenario=args.scenario,
-                scenario_params=_parse_scenario_params(args.scenario_param),
+                scenario_params=_parse_kv_params(args.scenario_param, "--scenario-param"),
                 policy_params=policy_params[policy],
                 cluster=cluster,
                 failures=failures,
@@ -1008,7 +981,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # (the config would reject them anyway, but with a traceback).
         try:
             get_scenario(args.scenario).validate_params(
-                dict(_parse_scenario_params(args.scenario_param))
+                dict(_parse_kv_params(args.scenario_param, "--scenario-param"))
             )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -1057,14 +1030,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 cache_dir=args.cache_dir,
                 progress=None if args.no_progress else progress_printer(),
                 scenario=args.scenario,
-                scenario_params=_parse_scenario_params(args.scenario_param),
+                scenario_params=_parse_kv_params(args.scenario_param, "--scenario-param"),
                 nodes=args.nodes,
                 balancers=args.balancer,
-                balancer_params=_parse_balancer_params(args.balancer_param),
+                balancer_params=_parse_kv_params(args.balancer_param, "--balancer-param"),
                 autoscale=args.autoscale,
                 policies=args.policies,
-                policy_params=_parse_policy_params(args.policy_param),
-                failure_params=_parse_failure_params(args.failure_param),
+                policy_params=_parse_kv_params(args.policy_param, "--policy-param"),
+                failure_params=_parse_kv_params(args.failure_param, "--failure-param"),
                 cell_timeout=args.cell_timeout,
                 executor=args.executor,
                 stats=engine_stats,
@@ -1166,17 +1139,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 seed=args.seed,
                 memory_mb=args.memory_mb,
                 scenario=args.scenario,
-                scenario_params=_parse_scenario_params(args.scenario_param),
-                policy_params=_parse_policy_params(args.policy_param),
+                scenario_params=_parse_kv_params(args.scenario_param, "--scenario-param"),
+                policy_params=_parse_kv_params(args.policy_param, "--policy-param"),
                 failures=FailureSpec.from_params(
-                    _parse_failure_params(args.failure_param)
+                    _parse_kv_params(args.failure_param, "--failure-param")
                 ),
-                cluster=ClusterSpec(
-                    nodes=args.nodes if args.nodes is not None else 1,
-                    balancer=args.balancer if args.balancer is not None else "least-loaded",
-                    balancer_params=_parse_balancer_params(args.balancer_param),
-                    autoscaler=() if args.autoscale else None,
-                ),
+                cluster=_cluster_spec(args),
                 retain_records=args.retain_records,
             )
             result = run_experiment(cfg)

@@ -12,7 +12,6 @@ from repro.experiments.adaptive import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import (
     CacheVerification,
-    EngineOptions,
     EngineStats,
     ResultCache,
     WorkerError,
@@ -29,7 +28,6 @@ __all__ = [
     "allocate_seeds",
     "run_adaptive_grid",
     "CacheVerification",
-    "EngineOptions",
     "EngineStats",
     "ExperimentConfig",
     "ExperimentResult",

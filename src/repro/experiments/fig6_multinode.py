@@ -19,15 +19,14 @@ the whole sweep (the paper's protocol is ``least-loaded``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.spec import ClusterSpec
 from repro.experiments.config import BASELINE, ExperimentConfig
 from repro.experiments.paper_data import TABLE5
-from repro.experiments.parallel import EngineStats, ProgressCallback, run_configs
+from repro.experiments.parallel import run_configs
 from repro.metrics.records import CallRecord
 from repro.metrics.report import format_table
 
@@ -115,22 +114,11 @@ def run_fig6(
     strategies: Sequence[str] = (BASELINE, "FC"),
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
     balancer: str = "least-loaded",
-    *,
-    jobs: int = 1,
-    cache_dir: Optional[Union[str, Path]] = None,
-    progress: Optional[ProgressCallback] = None,
-    cell_timeout: Optional[float] = None,
-    executor: str = "local",
-    stats: Optional[EngineStats] = None,
+    **engine: Any,
 ) -> Fig6Result:
-    """Run the multi-node sweep, pooling records over seeds.
-
-    ``jobs``/``cache_dir``/``progress`` route the sweep through the
-    parallel engine and its on-disk cache (bit-identical to the serial
-    path, like every engine-run experiment); ``executor``/``stats``
-    select the executor and accumulate engine counters (see
-    :func:`~repro.experiments.parallel.run_configs`).
-    """
+    """Run the multi-node sweep, pooling records over seeds, as one sweep
+    of :func:`~repro.experiments.parallel.run_configs` (``engine`` takes
+    its keywords: ``jobs``, ``cache_dir``, ...)."""
     total_requests = REQUESTS_FOR_CORES.get(cores_per_node, 11 * 4 * cores_per_node * 3)
     cells = [(nodes, strategy) for nodes in node_counts for strategy in strategies]
     configs = [
@@ -138,15 +126,7 @@ def run_fig6(
         for nodes, strategy in cells
         for seed in seeds
     ]
-    flat = run_configs(
-        configs,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        progress=progress,
-        cell_timeout=cell_timeout,
-        executor=executor,
-        stats=stats,
-    )
+    flat = run_configs(configs, **engine)
 
     cell_stats: Dict[Tuple[int, str], Dict[str, float]] = {}
     per_cell = len(seeds)

@@ -61,7 +61,6 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "EXECUTORS",
     "CacheVerification",
-    "EngineOptions",
     "EngineStats",
     "ResultCache",
     "WorkerError",
@@ -138,10 +137,16 @@ def config_fingerprint(config: ExperimentConfig, *, namespace: str = "") -> str:
     """Content-addressed cache key: SHA-256 over the canonical JSON form of
     the config plus the package and cache-schema versions.
 
-    Any field change, package version bump, or schema bump yields a new
-    fingerprint, so the cache never serves results produced by different
-    code or a different configuration.  ``namespace`` separates results
-    produced by different runners (see :class:`ResultCache`).
+    The key covers every config field as :func:`config_to_dict` writes
+    it, ``repro.__version__`` and :data:`CACHE_SCHEMA_VERSION`: a change
+    to any of them yields a new fingerprint.  It does not cover the
+    model: ``NodeConfig``'s defaults are not part of the config, and the
+    package version has been ``1.0.0`` since the first release, so a
+    change to a default or to the simulator's arithmetic is served the
+    old results from an existing cache unless the schema is bumped by
+    hand (docs/ARCHITECTURE.md, "Why the cache is safe"; ROADMAP item
+    2(a) puts a model epoch in the key).  ``namespace`` separates
+    results produced by different runners (see :class:`ResultCache`).
     """
     material = {
         "schema": CACHE_SCHEMA_VERSION,
@@ -371,33 +376,6 @@ class EngineStats:
             f"retries={self.retries} timeouts={self.timeouts} "
             f"elapsed={self.elapsed:.1f}s"
         )
-
-
-@dataclass(frozen=True)
-class EngineOptions:
-    """Execution knobs threaded through the artifact registry and CLI."""
-
-    jobs: int = 1
-    cache_dir: Optional[str] = None
-    progress: Optional[ProgressCallback] = None
-    #: Per-cell wall-clock budget in seconds; ``None`` defers to the
-    #: ``REPRO_CELL_TIMEOUT`` environment variable.
-    cell_timeout: Optional[float] = None
-    #: One of :data:`EXECUTORS`.
-    executor: str = "local"
-    #: An :class:`EngineStats` filled in place across the artifact's
-    #: sweeps, so callers (the CLI) can print the engine summary line.
-    stats: Optional[EngineStats] = field(default=None, compare=False)
-
-    def run_kwargs(self) -> Dict[str, Any]:
-        return {
-            "jobs": self.jobs,
-            "cache_dir": self.cache_dir,
-            "progress": self.progress,
-            "cell_timeout": self.cell_timeout,
-            "executor": self.executor,
-            "stats": self.stats,
-        }
 
 
 class WorkerError(RuntimeError):

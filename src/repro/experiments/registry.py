@@ -1,24 +1,23 @@
 """Experiment registry: one entry per paper artifact (README.md's matrix).
 
-Each entry maps an experiment id to a callable
-``run(quick: bool, engine: EngineOptions, workload: WorkloadSelection,
-cluster: ClusterSelection, policies: PolicySelection) -> str`` returning
-a rendered report.  ``quick=True`` runs a scaled-down version (fewer
-seeds / smaller sweeps) suitable for CI and the default benchmark
-invocation; ``quick=False`` reproduces the paper's full protocol.
-``engine`` carries the execution knobs (worker count, cache directory,
-progress callback), which every artifact but Table I passes to the
-engine; ``workload`` an optional scenario override
-(``--scenario``/``--scenario-param``), ``cluster`` an optional
-cluster-topology override (``--nodes``/``--balancer``/...) and
-``policies`` an optional scheduling-policy override
-(``--policies``/``--policy-param``) for the grid-backed artifacts.
-Artifacts reject what they cannot honor rather than ignore it.
+Each entry maps an experiment id to a description and a runner
+``run(quick: bool, engine: dict, overrides: dict) -> str`` returning a
+rendered report.  ``quick=True`` runs a scaled-down version (fewer seeds /
+smaller sweeps) suitable for CI and the default benchmark invocation;
+``quick=False`` reproduces the paper's full protocol.  ``engine`` holds the
+keywords of :func:`~repro.experiments.parallel.run_configs` (worker count,
+cache directory, progress callback, ...), which every artifact but Table I
+passes to the engine.  ``overrides`` holds :class:`GridSpec` field changes,
+made by :func:`grid_overrides` from :func:`run_registered`'s override
+keywords (``--scenario``, ``--nodes``, ``--policies``, ``--failure-param``
+and the rest); a grid-backed runner applies them to its grid once.
+:data:`HONOURED` says which artifact honours which field, and every other
+override is refused before any simulation rather than ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.ablations import (
@@ -38,166 +37,38 @@ from repro.experiments.fig2_coldstarts import run_fig2
 from repro.experiments.fig5_fairness import run_fig5
 from repro.experiments.fig6_multinode import run_fig6
 from repro.experiments.grid import GridSpec, run_grid
-from repro.experiments.parallel import EngineOptions, EngineStats, ProgressCallback
+from repro.experiments.parallel import EngineStats, ProgressCallback
 from repro.experiments.table1 import run_table1
 from repro.failures.spec import FailureSpec
 
 __all__ = [
     "EXPERIMENTS",
     "GRID_BACKED",
-    "WorkloadSelection",
-    "ClusterSelection",
-    "PolicySelection",
-    "FailureSelection",
+    "HONOURED",
+    "grid_overrides",
     "run_registered",
     "experiment_ids",
 ]
 
 
-@dataclass(frozen=True)
-class WorkloadSelection:
-    """An optional scenario override for grid-backed artifacts.
-
-    ``scenario=None`` keeps each artifact's own workload (the paper's
-    protocol); a name (plus params) reruns the artifact's grid under that
-    registered scenario instead — e.g. Table III under Poisson arrivals.
-    """
-
-    scenario: Optional[str] = None
-    params: Tuple[Tuple[str, Any], ...] = ()
-
-    def apply(self, spec: GridSpec) -> GridSpec:
-        if self.scenario is None:
-            return spec
-        return replace(spec, scenario=self.scenario, scenario_params=self.params)
-
-
-#: No override: every artifact runs its published workload.
-DEFAULT_WORKLOAD = WorkloadSelection()
-
-
-@dataclass(frozen=True)
-class ClusterSelection:
-    """An optional cluster-topology override for grid-backed artifacts.
-
-    All fields at their defaults keep each artifact's own topology (the
-    paper's single-node protocol); setting ``nodes``/``balancers`` reruns
-    the artifact's grid swept over those topologies instead — e.g.
-    Table III on 3 nodes under power-of-d routing.
-    """
-
-    nodes: Optional[Tuple[int, ...]] = None
-    balancers: Optional[Tuple[str, ...]] = None
-    balancer_params: Tuple[Tuple[str, Any], ...] = ()
-    autoscale: bool = False
-
-    @property
-    def is_default(self) -> bool:
-        return self == DEFAULT_CLUSTER_SELECTION
-
-    def apply(self, spec: GridSpec) -> GridSpec:
-        changes: Dict[str, Any] = {}
-        if self.nodes is not None:
-            changes["nodes"] = tuple(self.nodes)
-        if self.balancers is not None:
-            changes["balancers"] = tuple(self.balancers)
-        if self.balancer_params:
-            changes["balancer_params"] = tuple(self.balancer_params)
-        if self.autoscale:
-            changes["autoscale"] = True
-        return replace(spec, **changes) if changes else spec
-
-
-#: No override: every artifact runs on its published topology.
-DEFAULT_CLUSTER_SELECTION = ClusterSelection()
-
-
-@dataclass(frozen=True)
-class PolicySelection:
-    """An optional scheduling-policy override for grid-backed artifacts.
-
-    ``strategies=None`` with no params keeps each artifact's own strategy
-    set (the paper's six); a tuple of registered policy names (plus
-    ``baseline``) reruns the artifact's grid over those strategies
-    instead — e.g. Table III comparing ``SEPT`` against ``SEPT-EMA`` and
-    ``ORACLE-SPT``.  ``params`` reach each swept strategy filtered to
-    the parameters it declares (see
-    :meth:`~repro.experiments.grid.GridSpec.policy_params_by_strategy`).
-    """
-
-    strategies: Optional[Tuple[str, ...]] = None
-    params: Tuple[Tuple[str, Any], ...] = ()
-
-    @property
-    def is_default(self) -> bool:
-        return self == DEFAULT_POLICY_SELECTION
-
-    def apply(self, spec: GridSpec) -> GridSpec:
-        changes: Dict[str, Any] = {}
-        if self.strategies is not None:
-            changes["strategies"] = tuple(self.strategies)
-        if self.params:
-            changes["policy_params"] = tuple(self.params)
-        return replace(spec, **changes) if changes else spec
-
-
-#: No override: every artifact sweeps its published strategies.
-DEFAULT_POLICY_SELECTION = PolicySelection()
-
-
-@dataclass(frozen=True)
-class FailureSelection:
-    """An optional fault-regime override for grid-backed artifacts.
-
-    Empty ``params`` keeps the failure-free historical path; naming
-    :class:`~repro.failures.spec.FailureSpec` fields (``--failure-param
-    node_crash_rate=0.005`` etc.) reruns the artifact's grid with that
-    fault regime injected into every cell (see docs/FAILURES.md).
-    """
-
-    params: Tuple[Tuple[str, Any], ...] = ()
-
-    @property
-    def is_default(self) -> bool:
-        return not self.params
-
-    def spec(self) -> FailureSpec:
-        return FailureSpec.from_params(self.params)
-
-    def apply(self, spec: GridSpec) -> GridSpec:
-        if self.is_default:
-            return spec
-        return replace(spec, failures=self.spec())
-
-
-#: No override: every artifact runs failure-free.
-DEFAULT_FAILURE_SELECTION = FailureSelection()
+#: The scaled-down grid of quick fig3, fig4 and table3.
+_QUICK_GRID = GridSpec(cores=(10, 20), intensities=(30, 60), seeds=(1,))
 
 
 def _grid_spec(
-    quick: bool,
-    workload: WorkloadSelection,
-    cluster: ClusterSelection,
-    policies: PolicySelection,
-    failures: FailureSelection = DEFAULT_FAILURE_SELECTION,
+    quick: bool, overrides: Mapping[str, Any], quick_grid: GridSpec = _QUICK_GRID
 ) -> GridSpec:
-    if quick:
-        spec = GridSpec(
-            cores=(10, 20),
-            intensities=(30, 60),
-            strategies=("baseline", "FIFO", "SEPT", "EECT", "RECT", "FC"),
-            seeds=(1,),
-        )
-    else:
-        spec = GridSpec()
-    return failures.apply(policies.apply(cluster.apply(workload.apply(spec))))
+    """The artifact's grid, *quick_grid* or the paper's full one, with the
+    overrides applied."""
+    return replace(quick_grid if quick else GridSpec(), **overrides)
 
 
-def _table1(quick, engine, workload, cluster, policies, failures) -> str:
+def _table1(quick, engine, overrides) -> str:
     # Table I's sequential client is not an ExperimentConfig cell: refuse
     # the engine knobs rather than drop them (the progress callback, which
-    # the CLI always passes, merely goes unused).
-    if engine != EngineOptions(progress=engine.progress):
+    # the CLI always passes, and the stats sink merely go unused).
+    knobs = (engine["jobs"], engine["cache_dir"], engine["cell_timeout"], engine["executor"])
+    if knobs != (1, None, None, "local"):
         raise ValueError(
             "table1 runs a sequential client outside the engine and does not "
             "honor --jobs, --cache-dir, --cell-timeout or --executor"
@@ -205,120 +76,68 @@ def _table1(quick, engine, workload, cluster, policies, failures) -> str:
     return run_table1(calls_per_function=20 if quick else 50).render()
 
 
-def _fig2(quick, engine, workload, cluster, policies, failures) -> str:
-    if quick:
-        return run_fig2(
-            memories_mb=(4096, 16384, 32768, 131072),
-            intensities=(30, 120),
-            **engine.run_kwargs(),
-        ).render()
-    return run_fig2(**engine.run_kwargs()).render()
+def _fig2(quick, engine, overrides) -> str:
+    sweep = {"memories_mb": (4096, 16384, 32768, 131072), "intensities": (30, 120)}
+    return run_fig2(**(sweep if quick else {}), **engine).render()
 
 
-def _fig3(quick, engine, workload, cluster, policies, failures) -> str:
-    spec = _grid_spec(quick, workload, cluster, policies, failures)
+def _fig3(quick, engine, overrides) -> str:
+    spec = _grid_spec(quick, overrides)
     reject_cluster_sweep(spec, "fig3")  # before any simulation time
-    return fig3_from_grid(run_grid(spec, **engine.run_kwargs())).render()
+    return fig3_from_grid(run_grid(spec, **engine)).render()
 
 
-def _fig4(quick, engine, workload, cluster, policies, failures) -> str:
-    spec = _grid_spec(quick, workload, cluster, policies, failures)
+def _fig4(quick, engine, overrides) -> str:
+    spec = _grid_spec(quick, overrides)
     reject_cluster_sweep(spec, "fig4")  # before any simulation time
-    return fig4_from_grid(run_grid(spec, **engine.run_kwargs())).render()
+    return fig4_from_grid(run_grid(spec, **engine)).render()
 
 
-def _table2(quick, engine, workload, cluster, policies, failures) -> str:
-    if quick:
-        spec = failures.apply(policies.apply(cluster.apply(workload.apply(GridSpec(
-            cores=(5, 20), intensities=(30, 120),
-            strategies=("baseline", "FIFO"), seeds=(1, 2),
-        )))))
-    else:
-        spec = _grid_spec(quick, workload, cluster, policies, failures)
-    reject_cluster_sweep(spec, "table2")  # before any simulation time
-    return table2_from_grid(run_grid(spec, **engine.run_kwargs())).render()
-
-
-def _table3(quick, engine, workload, cluster, policies, failures) -> str:
-    grid = run_grid(
-        _grid_spec(quick, workload, cluster, policies, failures),
-        **engine.run_kwargs(),
+def _table2(quick, engine, overrides) -> str:
+    quick_grid = GridSpec(
+        cores=(5, 20), intensities=(30, 120), strategies=("baseline", "FIFO"), seeds=(1, 2)
     )
-    result = table3_from_grid(grid)
+    spec = _grid_spec(quick, overrides, quick_grid)
+    reject_cluster_sweep(spec, "table2")  # before any simulation time
+    return table2_from_grid(run_grid(spec, **engine)).render()
+
+
+def _table3(quick, engine, overrides) -> str:
+    result = table3_from_grid(run_grid(_grid_spec(quick, overrides), **engine))
     return result.render() + "\n\n" + result.render_comparison()
 
 
-def _table4(quick, engine, workload, cluster, policies, failures) -> str:
-    if quick:
-        spec = failures.apply(policies.apply(cluster.apply(
-            workload.apply(GridSpec(cores=(10,), intensities=(30,), seeds=(1, 2, 3)))
-        )))
-    else:
-        spec = _grid_spec(quick, workload, cluster, policies, failures)
-    return table3_from_grid(run_grid(spec, **engine.run_kwargs()), per_seed=True).render()
+def _table4(quick, engine, overrides) -> str:
+    spec = _grid_spec(quick, overrides, GridSpec(cores=(10,), intensities=(30,), seeds=(1, 2, 3)))
+    return table3_from_grid(run_grid(spec, **engine), per_seed=True).render()
 
 
-def _fig5(quick, engine, workload, cluster, policies, failures) -> str:
+def _fig5(quick, engine, overrides) -> str:
     seeds = (1,) if quick else (1, 2, 3, 4, 5)
-    return run_fig5(seeds=seeds, **engine.run_kwargs()).render()
+    return run_fig5(seeds=seeds, **engine).render()
 
 
-def _fig6(quick, engine, workload, cluster, policies, failures) -> str:
-    # fig6 is inherently a cluster sweep (over node counts); it honors the
-    # engine's jobs/cache/progress knobs and, of the cluster selection,
-    # exactly the balancer flavour.  Everything else (its own node counts,
-    # balancer params, autoscaling) is the artifact's protocol — reject
-    # rather than silently ignore.
+def _fig6(quick, engine, overrides) -> str:
+    # fig6 sweeps 4/3/2/1 nodes by protocol; HONOURED lets exactly one
+    # balancer through.
+    (balancer,) = overrides.get("balancers", ("least-loaded",))
     seeds = (1,) if quick else (1, 2, 3, 4, 5)
-    unsupported = []
-    if cluster.nodes is not None:
-        unsupported.append("--nodes (fig6 sweeps 4/3/2/1 nodes by protocol)")
-    if cluster.balancer_params:
-        unsupported.append("--balancer-param")
-    if cluster.autoscale:
-        unsupported.append("--autoscale")
-    if unsupported:
-        raise ValueError(
-            f"fig6 does not honor {', '.join(unsupported)}; of the cluster "
-            f"overrides it accepts only a single --balancer"
-        )
-    balancer = "least-loaded"
-    if cluster.balancers is not None:
-        if len(cluster.balancers) != 1:
-            raise ValueError(
-                "fig6 sweeps node counts with a single balancer; give exactly "
-                "one --balancer"
-            )
-        balancer = cluster.balancers[0]
-    kwargs = engine.run_kwargs()
-    reports = [run_fig6(cores_per_node=18, seeds=seeds, balancer=balancer, **kwargs).render()]
-    if not quick:
-        reports.append(
-            run_fig6(cores_per_node=10, seeds=seeds, balancer=balancer, **kwargs).render()
-        )
-    return "\n\n".join(reports)
+    return "\n\n".join(
+        run_fig6(cores_per_node=cores, seeds=seeds, balancer=balancer, **engine).render()
+        for cores in ((18,) if quick else (18, 10))
+    )
 
 
-def _ablations(quick, engine, workload, cluster, policies, failures) -> str:
+def _ablations(quick, engine, overrides) -> str:
     studies = [ablate_estimator_window, ablate_busy_limit]
     if not quick:
         studies += [ablate_fc_horizon, ablate_cold_start_cost]
-    return "\n\n".join(study(**engine.run_kwargs()).render() for study in studies)
+    return "\n\n".join(study(**engine).render() for study in studies)
 
 
 #: Experiment id -> (description, runner).
-_Runner = Callable[
-    [
-        bool,
-        EngineOptions,
-        WorkloadSelection,
-        ClusterSelection,
-        PolicySelection,
-        FailureSelection,
-    ],
-    str,
-]
-EXPERIMENTS: Dict[str, tuple[str, _Runner]] = {
+_Runner = Callable[[bool, Dict[str, Any], Dict[str, Any]], str]
+EXPERIMENTS: Dict[str, Tuple[str, _Runner]] = {
     "table1": ("Table I — idle-system SeBS function benchmark", _table1),
     "fig2": ("Fig. 2 — cold starts vs. memory and intensity", _fig2),
     "fig3": ("Fig. 3 — response-time boxes over the grid", _fig3),
@@ -332,16 +151,70 @@ EXPERIMENTS: Dict[str, tuple[str, _Runner]] = {
 }
 
 
-#: Artifacts whose runners slice the experiment grid and therefore honor a
-#: ``--scenario`` workload override; the rest run fixed protocols
-#: (table1's idle benchmark, fig2's memory sweep, fig5/fig6's dedicated
-#: workloads, the ablations) and must reject an override rather than
-#: silently ignoring it.
+#: Artifacts whose runners slice the experiment grid.
 GRID_BACKED = frozenset({"fig3", "fig4", "table2", "table3", "table4"})
+
+#: The override groups in the order they are checked: the GridSpec fields
+#: of each, what an artifact that honours none of them runs instead, the
+#: override's name, and what the artifacts that honour it are called.
+_GROUPS = (
+    (("scenario", "scenario_params"), "a fixed workload", "a scenario", "grid-backed"),
+    (
+        ("nodes", "balancers", "balancer_params", "autoscale"),
+        "a fixed topology",
+        "a cluster",
+        "cluster-capable",
+    ),
+    (("strategies", "policy_params"), "a fixed strategy set", "a policy", "grid-backed"),
+    (("failures",), "failure-free by protocol", "a failure", "grid-backed"),
+)
+
+#: The GridSpec fields each artifact lets an override change.  The
+#: grid-backed artifacts honour all of them, fig6 (a node-count sweep by
+#: protocol) a single balancer, and the rest (table1's idle benchmark,
+#: fig2's memory sweep, fig5's skewed mix, the ablations) none.
+HONOURED: Dict[str, frozenset] = {
+    **{eid: frozenset().union(*(fields for fields, *_ in _GROUPS)) for eid in GRID_BACKED},
+    "fig6": frozenset({"balancers"}),
+}
+
+#: How fig6's refusal names the cluster fields it does not honour.
+_FIG6_REFUSED = {
+    "nodes": "--nodes (fig6 sweeps 4/3/2/1 nodes by protocol)",
+    "balancer_params": "--balancer-param",
+    "autoscale": "--autoscale",
+}
 
 
 def experiment_ids() -> List[str]:
     return list(EXPERIMENTS)
+
+
+def _refuse_unhonoured(experiment_id: str, overrides: Mapping[str, Any]) -> None:
+    """Raise :class:`ValueError` for the first override group
+    *experiment_id* does not honour (:data:`HONOURED`), then for the
+    cluster fields and balancer count fig6 does not honour."""
+    honoured = HONOURED.get(experiment_id, frozenset())
+    unhonoured = overrides.keys() - honoured
+    for fields, runs, override, capable in _GROUPS:
+        if honoured.isdisjoint(fields) and not unhonoured.isdisjoint(fields):
+            names = sorted(eid for eid, h in HONOURED.items() if not h.isdisjoint(fields))
+            raise ValueError(
+                f"artifact {experiment_id!r} runs {runs} and does not honor "
+                f"{override} override; {capable} artifacts: {', '.join(names)}"
+            )
+    if experiment_id != "fig6":
+        return
+    refused = [flag for name, flag in _FIG6_REFUSED.items() if name in unhonoured]
+    if refused:
+        raise ValueError(
+            f"fig6 does not honor {', '.join(refused)}; of the cluster "
+            f"overrides it accepts only a single --balancer"
+        )
+    if len(overrides.get("balancers", ("least-loaded",))) != 1:
+        raise ValueError(
+            "fig6 sweeps node counts with a single balancer; give exactly one --balancer"
+        )
 
 
 #: Parameters as a mapping (the natural programmatic spelling) or as
@@ -357,6 +230,52 @@ def _as_pairs(params: _Params) -> Tuple[Tuple[str, Any], ...]:
     a report title.
     """
     return tuple(params.items()) if isinstance(params, Mapping) else tuple(params)
+
+
+def grid_overrides(
+    artifact: Optional[str] = None,
+    *,
+    scenario: Optional[str] = None,
+    scenario_params: _Params = (),
+    nodes: Optional[Sequence[int]] = None,
+    balancers: Optional[Sequence[str]] = None,
+    balancer_params: _Params = (),
+    autoscale: bool = False,
+    policies: Optional[Sequence[str]] = None,
+    policy_params: _Params = (),
+    failure_params: _Params = (),
+) -> Dict[str, Any]:
+    """The :class:`GridSpec` field changes that the override keywords of
+    :func:`run_registered` name: one entry per override given, parameter
+    sets as ``(name, value)`` pairs in the caller's order, and
+    ``failure_params`` as a :class:`~repro.failures.spec.FailureSpec`.
+
+    With an *artifact* id, an override that artifact does not honour is
+    refused (:data:`HONOURED`) before the fault regime is validated, so
+    the refusal names the artifact rather than a bad failure field.
+    """
+    if scenario is None and scenario_params:
+        raise ValueError(
+            "scenario_params were given without a scenario; silently "
+            "dropping them would run the wrong workload"
+        )
+    given = {
+        "scenario": scenario,
+        "scenario_params": _as_pairs(scenario_params) or None,
+        "nodes": None if nodes is None else tuple(nodes),
+        "balancers": None if balancers is None else tuple(balancers),
+        "balancer_params": _as_pairs(balancer_params) or None,
+        "autoscale": True if autoscale else None,
+        "strategies": None if policies is None else tuple(policies),
+        "policy_params": _as_pairs(policy_params) or None,
+        "failures": _as_pairs(failure_params) or None,
+    }
+    overrides = {name: value for name, value in given.items() if value is not None}
+    if artifact is not None:
+        _refuse_unhonoured(artifact, overrides)
+    if "failures" in overrides:
+        overrides["failures"] = FailureSpec.from_params(overrides["failures"])
+    return overrides
 
 
 def run_registered(
@@ -412,55 +331,24 @@ def run_registered(
         raise KeyError(
             f"unknown experiment {experiment_id!r}; available: {', '.join(EXPERIMENTS)}"
         ) from None
-    if scenario is None and scenario_params:
-        raise ValueError(
-            "scenario_params were given without a scenario; silently "
-            "dropping them would run the wrong workload"
-        )
-    if scenario is not None and experiment_id not in GRID_BACKED:
-        raise ValueError(
-            f"artifact {experiment_id!r} runs a fixed workload and does not "
-            f"honor a scenario override; grid-backed artifacts: "
-            f"{', '.join(sorted(GRID_BACKED))}"
-        )
-    cluster = ClusterSelection(
-        nodes=None if nodes is None else tuple(nodes),
-        balancers=None if balancers is None else tuple(balancers),
-        balancer_params=_as_pairs(balancer_params),
+    overrides = grid_overrides(
+        experiment_id,
+        scenario=scenario,
+        scenario_params=scenario_params,
+        nodes=nodes,
+        balancers=balancers,
+        balancer_params=balancer_params,
         autoscale=autoscale,
+        policies=policies,
+        policy_params=policy_params,
+        failure_params=failure_params,
     )
-    if not cluster.is_default and experiment_id not in GRID_BACKED | {"fig6"}:
-        raise ValueError(
-            f"artifact {experiment_id!r} runs a fixed topology and does not "
-            f"honor a cluster override; cluster-capable artifacts: "
-            f"{', '.join(sorted(GRID_BACKED | {'fig6'}))}"
-        )
-    policy_selection = PolicySelection(
-        strategies=None if policies is None else tuple(policies),
-        params=_as_pairs(policy_params),
-    )
-    if not policy_selection.is_default and experiment_id not in GRID_BACKED:
-        raise ValueError(
-            f"artifact {experiment_id!r} runs a fixed strategy set and does "
-            f"not honor a policy override; grid-backed artifacts: "
-            f"{', '.join(sorted(GRID_BACKED))}"
-        )
-    failure_selection = FailureSelection(params=_as_pairs(failure_params))
-    if not failure_selection.is_default:
-        if experiment_id not in GRID_BACKED:
-            raise ValueError(
-                f"artifact {experiment_id!r} runs failure-free by protocol "
-                f"and does not honor a failure override; grid-backed "
-                f"artifacts: {', '.join(sorted(GRID_BACKED))}"
-            )
-        failure_selection.spec()  # a bad field name fails before any run
-    engine = EngineOptions(
-        jobs=jobs,
-        cache_dir=cache_dir,
-        progress=progress,
-        cell_timeout=cell_timeout,
-        executor=executor,
-        stats=stats,
-    )
-    workload = WorkloadSelection(scenario=scenario, params=_as_pairs(scenario_params))
-    return runner(quick, engine, workload, cluster, policy_selection, failure_selection)
+    engine = {
+        "jobs": jobs,
+        "cache_dir": cache_dir,
+        "progress": progress,
+        "cell_timeout": cell_timeout,
+        "executor": executor,
+        "stats": stats,
+    }
+    return runner(quick, engine, overrides)

@@ -438,11 +438,10 @@ COMPARE_METRICS: Dict[str, Callable[[Any], float]] = {
     "p99_stretch": lambda s: s.stretch_percentiles[99],
     "cold_starts": lambda s: float(s.cold_starts),
     "makespan": lambda s: s.max_completion_time,
-    # Failure-injection accounting (zero on the failure-free path; getattr
-    # keeps summaries cached before the counters existed comparable).
-    "retries": lambda s: float(getattr(s, "retries", 0)),
-    "gave_up": lambda s: float(getattr(s, "gave_up", 0)),
-    "failed_calls": lambda s: float(getattr(s, "failed_calls", 0)),
+    # Failure-injection accounting (zero on the failure-free path).
+    "retries": lambda s: float(s.retries),
+    "gave_up": lambda s: float(s.gave_up),
+    "failed_calls": lambda s: float(s.failed_calls),
 }
 
 #: The acceptance-relevant default family: mean/p99 of both response time

@@ -559,9 +559,9 @@ class SummaryAccumulator:
             compression=data["compression"],
             n_calls=int(data["n_calls"]),
             cold_starts=int(data["cold_starts"]),
-            retries=int(data.get("retries", 0)),
-            gave_up=int(data.get("gave_up", 0)),
-            failed_calls=int(data.get("failed_calls", 0)),
+            retries=int(data["retries"]),
+            gave_up=int(data["gave_up"]),
+            failed_calls=int(data["failed_calls"]),
             max_completion_time=float(data["max_completion_time"]),
             response_sum=ExactSum.from_list(data["response_sum"]),
             response_sumsq=ExactSum.from_list(data["response_sumsq"]),

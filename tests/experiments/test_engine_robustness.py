@@ -333,6 +333,26 @@ class TestVerifyCache:
         second = verify_cache(tmp_path)
         assert (second.scanned, second.corrupt) == (2, 0)
 
+    @pytest.mark.parametrize("counter", ["retries", "gave_up", "failed_calls"])
+    def test_entry_without_a_failure_counter_is_a_miss(self, tmp_path, counter):
+        # A cell that retried, so a counter read as 0 would be wrong.
+        config = ExperimentConfig(
+            cores=4,
+            intensity=10,
+            policy="FIFO",
+            seed=1,
+            failures={"timeout_s": 5.0, "max_attempts": 3, "container_kill_rate": 0.2},
+        )
+        (result,) = run_configs([config], jobs=1, cache_dir=tmp_path)
+        assert result.accumulator.retries > 0
+        (victim,) = self.entry_paths(tmp_path)
+        payload = json.loads(victim.read_text())
+        del payload["result"]["accumulator"][counter]
+        victim.write_text(json.dumps(payload))
+        assert parallel.ResultCache(tmp_path).load(config) is None
+        report = verify_cache(tmp_path)
+        assert (report.scanned, report.corrupt) == (1, 1)
+
     def test_missing_root_is_an_empty_report(self, tmp_path):
         report = verify_cache(tmp_path / "nope")
         assert (report.scanned, report.bad) == (0, 0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments.registry import EXPERIMENTS, experiment_ids, run_registered
+from repro.failures.spec import FailureSpec
 
 
 class TestRegistry:
@@ -35,11 +36,11 @@ class TestRegistry:
         for spelling in (pairs, {name: dict(value) for name, value in pairs.items()}):
             run_registered("table4", scenario="poisson", balancers=("power-of-d",), **spelling)
         assert calls[0] == calls[1]
-        _, _, workload, cluster, policy, failure = calls[0]
-        assert workload.params == pairs["scenario_params"]
-        assert cluster.balancer_params == pairs["balancer_params"]
-        assert policy.params == pairs["policy_params"]
-        assert failure.params == pairs["failure_params"]
+        _, _, overrides = calls[0]
+        assert overrides["scenario_params"] == pairs["scenario_params"]
+        assert overrides["balancer_params"] == pairs["balancer_params"]
+        assert overrides["policy_params"] == pairs["policy_params"]
+        assert overrides["failures"] == FailureSpec.from_params(pairs["failure_params"])
 
     def test_descriptions_present(self):
         for _, (description, _) in EXPERIMENTS.items():
@@ -211,12 +212,12 @@ class TestScenarioCli:
         assert "no requests" in err and "poisson" in err
 
     def test_python_style_boolean_literals_parse_typed(self):
-        from repro.cli import _parse_scenario_params
+        from repro.cli import _parse_kv_params
 
-        assert _parse_scenario_params(["a=False", "b=True", "c=None"]) == (
+        assert _parse_kv_params(["a=False", "b=True", "c=None"], "--scenario-param") == (
             ("a", False), ("b", True), ("c", None),
         )
-        assert _parse_scenario_params(["a=false", "b=1.5", "c=text"]) == (
+        assert _parse_kv_params(["a=false", "b=1.5", "c=text"], "--scenario-param") == (
             ("a", False), ("b", 1.5), ("c", "text"),
         )
 
